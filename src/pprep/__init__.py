@@ -43,9 +43,7 @@ from .exceptions import (
     UnsupportedDomainError,
 )
 from .hierarchical import (
-    HeterogeneityPrior,
     HierarchicalHypothesis,
-    HierarchicalModel,
     I2_prior_from_alpha_prior,
     I2_to_alpha,
     OverallEffectPrior,
@@ -90,7 +88,6 @@ from .special import (
     gbeta_logpdf,
     gf_logpdf,
     invgamma_logpdf,
-    kummer_m,
     log_beta,
     log_kummer_m,
     noncentral_chisq1_cdf,

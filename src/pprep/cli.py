@@ -7,11 +7,12 @@ summaries and density grids), ``test`` (the Bayes factor table), ``design``
 
 Input is a CSV or JSON list of study records; JSON is the canonical form.
 Every report carries a reproducibility block (config echo, tool version,
-quadrature tolerances, worst error estimate) and echoes its input at full
-precision, so a JSON report can be fed back in as ``--input`` and
-reproduces itself bit for bit. Grids are written as CSV files so any
-plotting tool can render them; exit codes are 0 (success), 2 (validation
-error), 3 (numerical non-convergence).
+quadrature tolerances, worst error estimate of the evidence and Bayes
+factor integrals) and echoes its input at full precision, so a JSON
+report can be fed back in as ``--input`` and reproduces itself bit for
+bit. Grids are written as CSV files so any plotting tool can render them;
+exit codes are 0 (success), 2 (validation error), 3 (numerical
+non-convergence).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .bayes_factors import (
 from .design import DesignSpec, default_sigma_grid, find_design, prob_replication_success, sigma_to_n
 from .exceptions import ConvergenceError, DomainError, InputValidationError, PprepError
 from .hierarchical import (
-    HeterogeneityPrior,
     I2_prior_from_alpha_prior,
     alpha_to_I2,
     alpha_to_tau2,
@@ -50,7 +50,6 @@ from .hierarchical import (
 )
 from .inference import (
     BetaParams,
-    DensityGrid,
     Study,
     StudyPair,
     alpha_empirical_bayes,
@@ -63,6 +62,7 @@ from .inference import (
     marginal_posterior_theta,
     summarize,
     theta_grid,
+    theta_lattice,
 )
 from .quadrature import QuadratureSpec
 from .special import gbeta_logpdf, gf_logpdf
@@ -192,7 +192,15 @@ class AnalysisConfig:
             raise InputValidationError(
                 f"unknown config keys: {sorted(unknown)}", field=",".join(sorted(unknown))
             )
-        return cls(**data)
+        values = dict(data)
+        for f in fields(cls):
+            # String fields are checked against their allowed values where
+            # they are used; an optional number may be null.
+            if f.name not in data or f.type == "str":
+                continue
+            if data[f.name] is not None or f.default is not None:
+                values[f.name] = _number(data[f.name], f.name, kind=int if f.type == "int" else float)
+        return cls(**values)
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(
@@ -213,16 +221,34 @@ class AnalysisConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(value: str, field: str, line: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
+def _number(value, field: str, line: int | None = None, *, kind: type = float,
+            text: bool = False) -> float | int:
+    """Strict numeric coercion at the input boundary.
+
+    Takes a JSON number or, with ``text`` (CSV cells), a string that parses
+    as one. Booleans, null, other strings and other types are rejected, and
+    an ``int`` field takes integral values only.
+    """
+    if text and isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and (kind is float or isinstance(value, int) or value.is_integer()):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise InputValidationError(f"{field} must be {noun}, got {value!r}", field=field, line=line)
+
+
+def _record_from_mapping(data: dict, line: int | None = None, text: bool = False) -> StudyRecord:
+    if not isinstance(data, dict):
         raise InputValidationError(
-            f"cannot parse {field}={value!r} as a number", field=field, line=line
-        ) from None
-
-
-def _record_from_mapping(data: dict, line: int | None = None) -> StudyRecord:
+            f"a record must be an object, got {data!r}", field="record", line=line
+        )
     known = {"id", "role", "effect_type", "estimate", "se", "n", "sample_size"}
     unknown = set(data) - known
     if unknown:
@@ -239,9 +265,9 @@ def _record_from_mapping(data: dict, line: int | None = None) -> StudyRecord:
         id=str(data["id"]),
         role=str(data["role"]),
         effect_type=str(data["effect_type"]),
-        estimate=float(data["estimate"]),
-        se=None if data.get("se") is None else float(data["se"]),
-        sample_size=None if n is None else int(n),
+        estimate=_number(data["estimate"], "estimate", line, text=text),
+        se=None if data.get("se") is None else _number(data["se"], "se", line, text=text),
+        sample_size=None if n is None else _number(n, "n", line, kind=int, text=text),
     )
     record.validate(line)
     return record
@@ -258,17 +284,9 @@ def _records_from_csv(text: str) -> list[StudyRecord]:
         )
     records = []
     for line, row in enumerate(reader, start=2):
-        data: dict = {
-            "id": row["id"],
-            "role": row["role"],
-            "effect_type": row["effect_type"],
-            "estimate": _parse_float(row["estimate"], "estimate", line),
-        }
-        if row.get("se"):
-            data["se"] = _parse_float(row["se"], "se", line)
-        if row.get("n"):
-            data["n"] = int(_parse_float(row["n"], "n", line))
-        records.append(_record_from_mapping(data, line))
+        data = {key: row[key] for key in required}
+        data.update({key: row[key] for key in ("se", "n") if row.get(key)})
+        records.append(_record_from_mapping(data, line, text=True))
     return records
 
 
@@ -288,60 +306,35 @@ def load_input(path: str | Path) -> tuple[list[StudyRecord], dict]:
                 f"invalid JSON input: {exc.msg}", line=exc.lineno
             ) from None
         if isinstance(payload, list):
-            return [_record_from_mapping(rec) for rec in payload], {}
+            payload = {"records": payload}
         if isinstance(payload, dict):
-            if "input" in payload and "records" in payload.get("input", {}):
-                records = [
-                    _record_from_mapping(rec) for rec in payload["input"]["records"]
-                ]
+            # A previous report holds its records in its input echo.
+            body = payload["input"] if "records" in payload.get("input", {}) else payload
+            if "records" in body:
+                records = [_record_from_mapping(rec) for rec in body["records"]]
                 return records, dict(payload.get("config", {}))
-            if "records" in payload:
-                return [_record_from_mapping(rec) for rec in payload["records"]], dict(
-                    payload.get("config", {})
-                )
         raise InputValidationError(
             "JSON input must be an array of records or a previous report"
         )
     return _records_from_csv(text), {}
 
 
-def split_pair(records: list[StudyRecord]) -> StudyPair:
-    originals = [r for r in records if r.role == "original"]
-    replications = [r for r in records if r.role == "replication"]
-    if len(originals) != 1:
-        raise InputValidationError(
-            f"need exactly one original record, got {len(originals)}", field="role"
-        )
-    if len(replications) != 1:
-        raise InputValidationError(
-            f"need exactly one replication record, got {len(replications)}", field="role"
-        )
-    return StudyPair(originals[0].to_study(), replications[0].to_study())
-
-
-def single_original(records: list[StudyRecord]) -> Study:
-    originals = [r for r in records if r.role == "original"]
-    if len(originals) != 1:
-        raise InputValidationError(
-            f"need exactly one original record, got {len(originals)}", field="role"
-        )
-    return originals[0].to_study()
+def _studies(records: list[StudyRecord], roles: tuple[str, ...] = ROLES) -> list[Study]:
+    """The one record of each role, in the order given, as studies."""
+    chosen = []
+    for role in roles:
+        matches = [r for r in records if r.role == role]
+        if len(matches) != 1:
+            raise InputValidationError(
+                f"need exactly one {role} record, got {len(matches)}", field="role"
+            )
+        chosen.extend(matches)
+    return [r.to_study() for r in chosen]
 
 
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-
-class _ErrTracker:
-    """Collects the worst quadrature error seen while building a report."""
-
-    def __init__(self):
-        self.max_err = 0.0
-
-    def track(self, err: float) -> None:
-        if err > self.max_err:
-            self.max_err = err
 
 
 def _bf_entry(result) -> dict:
@@ -355,19 +348,8 @@ def _bf_entry(result) -> dict:
     }
 
 
-def _summary_dict(summary) -> dict:
-    return {
-        "mean": summary.mean,
-        "sd": summary.sd,
-        "ci_lower": summary.ci_lower,
-        "ci_upper": summary.ci_upper,
-        "level": summary.level,
-        "mode": summary.mode,
-    }
-
-
 def _envelope(command: str, config: AnalysisConfig, records: list[StudyRecord],
-              results: dict, tracker: _ErrTracker) -> dict:
+              results: dict, max_err: float) -> dict:
     return {
         "command": command,
         "version": __version__,
@@ -380,7 +362,7 @@ def _envelope(command: str, config: AnalysisConfig, records: list[StudyRecord],
                 "abs_tol": config.abs_tol,
                 "max_subdivisions": config.max_subdivisions,
             },
-            "max_err_estimate": tracker.max_err,
+            "max_err_estimate": max_err,
         },
     }
 
@@ -393,14 +375,13 @@ def _write_grid_csv(path: Path, header: list[str], columns: list[np.ndarray]) ->
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _grid_to_csv_1d(path: Path, grid: DensityGrid, axis_name: str) -> None:
-    _write_grid_csv(path, [axis_name, "logdens"], [grid.axis1, grid.logdens])
-
-
-def _grid_to_csv_2d(path: Path, grid: DensityGrid, name1: str, name2: str) -> None:
-    a1 = np.repeat(grid.axis1, grid.axis2.size)
-    a2 = np.tile(grid.axis2, grid.axis1.size)
-    _write_grid_csv(path, [name1, name2, "logdens"], [a1, a2, grid.logdens.ravel()])
+def _export_grids(grid_out: Path, grids: dict[str, tuple[list[str], list[np.ndarray]]]) -> dict:
+    """Write each ``{filename: (header, columns)}`` entry as a CSV file in
+    ``grid_out``; returns the report's ``grids`` entry."""
+    grid_out.mkdir(parents=True, exist_ok=True)
+    for name, (header, columns) in grids.items():
+        _write_grid_csv(grid_out / name, header, columns)
+    return {"dir": str(grid_out), "files": list(grids)}
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +391,9 @@ def _grid_to_csv_2d(path: Path, grid: DensityGrid, name1: str, name2: str) -> No
 
 def cmd_estimate(records: list[StudyRecord], config: AnalysisConfig,
                  grid_out: Path | None) -> dict:
-    pair = split_pair(records)
+    pair = StudyPair(*_studies(records))
     prior = config.prior()
     quad = config.quad()
-    tracker = _ErrTracker()
 
     tgrid = theta_grid(pair, prior, num=config.grid_points, span=config.theta_span, quad=quad)
     theta_summary = summarize(
@@ -430,56 +410,52 @@ def cmd_estimate(records: list[StudyRecord], config: AnalysisConfig,
     monotone = bool(np.all(np.diff(check_dens) > 0))
 
     _, ev_err = evidence_and_error(pair, prior, quad)
-    tracker.track(ev_err)
 
     results = {
-        "theta": _summary_dict(theta_summary),
+        "theta": asdict(theta_summary),
         "alpha": {
-            **_summary_dict(alpha_summary),
+            **asdict(alpha_summary),
             "mode": mode,
             "monotone_increasing": monotone,
             "empirical_bayes": alpha_empirical_bayes(pair),
         },
     }
     if grid_out is not None:
-        grid_out.mkdir(parents=True, exist_ok=True)
-        _grid_to_csv_1d(grid_out / "theta_marginal.csv", tgrid, "theta")
-        _grid_to_csv_1d(grid_out / "alpha_marginal.csv", agrid, "alpha")
         jgrid = joint_grid(
             pair, prior,
             num_theta=config.grid_points, num_alpha=config.grid_points,
             span=config.theta_span, alpha_min=config.alpha_min, quad=quad,
         )
-        _grid_to_csv_2d(grid_out / "joint_posterior.csv", jgrid, "theta", "alpha")
         ref_alphas = np.linspace(config.alpha_min, 1.0, config.grid_points)
-        ref = limiting_alpha_posterior_logdensity(ref_alphas)
-        _write_grid_csv(
-            grid_out / "alpha_limiting_reference.csv", ["alpha", "logdens"], [ref_alphas, ref]
-        )
-        results["grids"] = {
-            "dir": str(grid_out),
-            "files": [
-                "theta_marginal.csv",
-                "alpha_marginal.csv",
-                "joint_posterior.csv",
-                "alpha_limiting_reference.csv",
-            ],
-        }
-    return _envelope("estimate", config, records, results, tracker)
+        results["grids"] = _export_grids(grid_out, {
+            "theta_marginal.csv": (["theta", "logdens"], [tgrid.axis1, tgrid.logdens]),
+            "alpha_marginal.csv": (["alpha", "logdens"], [agrid.axis1, agrid.logdens]),
+            "joint_posterior.csv": (
+                ["theta", "alpha", "logdens"],
+                [
+                    np.repeat(jgrid.axis1, jgrid.axis2.size),
+                    np.tile(jgrid.axis2, jgrid.axis1.size),
+                    jgrid.logdens.ravel(),
+                ],
+            ),
+            "alpha_limiting_reference.csv": (
+                ["alpha", "logdens"],
+                [ref_alphas, limiting_alpha_posterior_logdensity(ref_alphas)],
+            ),
+        })
+    return _envelope("estimate", config, records, results, ev_err)
 
 
 def cmd_test(records: list[StudyRecord], config: AnalysisConfig,
              grid_out: Path | None) -> dict:
-    pair = split_pair(records)
+    pair = StudyPair(*_studies(records))
     quad = config.quad()
-    tracker = _ErrTracker()
 
     power = bf01_power_prior(pair, config.prior(), quad)
     replication = bf01_replication(pair)
     dc_point = bf_dc_point(pair, config.unit_information())
     dc_beta = bf_dc_beta(pair, config.bf_y, quad)
-    for result in (power, replication, dc_point, dc_beta):
-        tracker.track(result.quadrature_err)
+    max_err = max(0.0, *(r.quadrature_err for r in (power, replication, dc_point, dc_beta)))
 
     results = {
         "bf01_power_prior": _bf_entry(power),
@@ -496,13 +472,12 @@ def cmd_test(records: list[StudyRecord], config: AnalysisConfig,
             "bf_dc_point_limit": {"value": point_limit, "formatted": format_bf(point_limit)},
             "bf_dc_beta_limit": {"value": beta_limit, "formatted": format_bf(beta_limit)},
         }
-    return _envelope("test", config, records, results, tracker)
+    return _envelope("test", config, records, results, max_err)
 
 
 def cmd_design(records: list[StudyRecord], config: AnalysisConfig,
                grid_out: Path | None) -> dict:
-    original = single_original(records)
-    tracker = _ErrTracker()
+    [original] = _studies(records, ("original",))
     sigma_grid = default_sigma_grid(
         original,
         rel_min=config.design_rel_size_min,
@@ -530,12 +505,7 @@ def cmd_design(records: list[StudyRecord], config: AnalysisConfig,
 
     results = {
         "design": {
-            "sigma_r": result.sigma_r,
-            "n_r": result.n_r,
-            "relative_size": result.relative_size,
-            "prs_under_compatible": result.prs_under_compatible,
-            "prs_under_different": result.prs_under_different,
-            "attained": result.attained,
+            **asdict(result),
             "hypothesis": spec.hypothesis,
             "gamma": spec.gamma,
             "target_power": spec.target_power,
@@ -547,24 +517,23 @@ def cmd_design(records: list[StudyRecord], config: AnalysisConfig,
         },
     }
     if grid_out is not None:
-        grid_out.mkdir(parents=True, exist_ok=True)
-        rel = original.variance / np.asarray(sigma_grid) ** 2
+        sigmas = np.asarray(sigma_grid)
         n_r = np.array([sigma_to_n(float(s)) for s in sigma_grid], dtype=float)
-        _write_grid_csv(
-            grid_out / "prs_curves.csv",
-            ["sigma_r", "relative_size", "n_r"] + list(curves),
-            [np.asarray(sigma_grid), rel, n_r] + [np.asarray(v) for v in curves.values()],
-        )
-        results["grids"] = {"dir": str(grid_out), "files": ["prs_curves.csv"]}
-    return _envelope("design", config, records, results, tracker)
+        results["grids"] = _export_grids(grid_out, {
+            "prs_curves.csv": (
+                ["sigma_r", "relative_size", "n_r"] + list(curves),
+                [sigmas, original.variance / sigmas**2, n_r]
+                + [np.asarray(v) for v in curves.values()],
+            ),
+        })
+    return _envelope("design", config, records, results, 0.0)
 
 
 def cmd_bridge(records: list[StudyRecord], config: AnalysisConfig,
                grid_out: Path | None) -> dict:
-    pair = split_pair(records)
+    pair = StudyPair(*_studies(records))
     prior = config.prior()
     quad = config.quad()
-    tracker = _ErrTracker()
     sigma2_o = pair.original.variance
 
     alphas = np.round(np.linspace(0.1, 1.0, 10), 10)
@@ -577,16 +546,15 @@ def cmd_bridge(records: list[StudyRecord], config: AnalysisConfig,
         for a in alphas
     ]
 
-    gf = tau2_prior_from_alpha_prior(prior, sigma2_o).gf
+    gf = tau2_prior_from_alpha_prior(prior, sigma2_o)
     gbe = I2_prior_from_alpha_prior(prior)
 
-    het = HeterogeneityPrior.generalized_f(gf)
-    tgrid = theta_grid(pair, prior, num=config.grid_points, span=config.theta_span, quad=quad)
+    thetas = theta_lattice(pair, num=config.grid_points, span=config.theta_span)
     hier_logdens = np.array(
-        [hier_marginal_posterior_theta_r(float(t), pair, het, quad) for t in tgrid.axis1]
+        [hier_marginal_posterior_theta_r(float(t), pair, gf, quad) for t in thetas]
     )
     power_logdens = np.array(
-        [marginal_posterior_theta(float(t), pair, prior, quad) for t in tgrid.axis1]
+        [marginal_posterior_theta(float(t), pair, prior, quad) for t in thetas]
     )
     max_diff = float(np.max(np.abs(hier_logdens - power_logdens)))
 
@@ -597,33 +565,17 @@ def cmd_bridge(records: list[StudyRecord], config: AnalysisConfig,
         "overlay_max_abs_logdens_diff": max_diff,
     }
     if grid_out is not None:
-        grid_out.mkdir(parents=True, exist_ok=True)
-        _write_grid_csv(
-            grid_out / "posterior_overlay.csv",
-            ["theta", "logdens_power_prior", "logdens_hierarchical"],
-            [tgrid.axis1, power_logdens, hier_logdens],
-        )
         tau2s = np.linspace(1e-8, alpha_to_tau2(0.05, sigma2_o), config.grid_points)
-        _write_grid_csv(
-            grid_out / "tau2_prior_density.csv",
-            ["tau2", "logdens"],
-            [tau2s, gf_logpdf(tau2s, gf)],
-        )
         i2s = np.linspace(0.0, 1.0, config.grid_points)
-        _write_grid_csv(
-            grid_out / "i2_prior_density.csv",
-            ["i2", "logdens"],
-            [i2s, gbeta_logpdf(i2s, gbe)],
-        )
-        results["grids"] = {
-            "dir": str(grid_out),
-            "files": [
-                "posterior_overlay.csv",
-                "tau2_prior_density.csv",
-                "i2_prior_density.csv",
-            ],
-        }
-    return _envelope("bridge", config, records, results, tracker)
+        results["grids"] = _export_grids(grid_out, {
+            "posterior_overlay.csv": (
+                ["theta", "logdens_power_prior", "logdens_hierarchical"],
+                [thetas, power_logdens, hier_logdens],
+            ),
+            "tau2_prior_density.csv": (["tau2", "logdens"], [tau2s, gf_logpdf(tau2s, gf)]),
+            "i2_prior_density.csv": (["i2", "logdens"], [i2s, gbeta_logpdf(i2s, gbe)]),
+        })
+    return _envelope("bridge", config, records, results, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -137,12 +137,6 @@ def prob_replication_success(
     return _prs_from_var(sigma_r * sigma_r, spec, true_hypothesis)
 
 
-def _asymptotic_prs(spec: DesignSpec, true_hypothesis: str) -> float:
-    # All pieces of the chi-squared representation stay finite at
-    # sigma_r = 0, so the limit is a direct evaluation.
-    return _prs_from_var(0.0, spec, true_hypothesis)
-
-
 def default_sigma_grid(
     original: Study, rel_min: float = 0.2, rel_max: float = 20.0, num: int = 60
 ) -> np.ndarray:
@@ -173,6 +167,7 @@ def find_design(spec: DesignSpec, sigma_grid=None) -> DesignResult:
     sigmas = np.sort(sigmas)[::-1]
 
     prs_prev = -math.inf
+    attained = False
     for sigma in sigmas:
         prs = prob_replication_success(float(sigma), spec)
         if spec.hypothesis == "compatible" and prs < prs_prev - 1e-12:
@@ -183,28 +178,19 @@ def find_design(spec: DesignSpec, sigma_grid=None) -> DesignResult:
             )
         prs_prev = prs
         if prs >= spec.target_power:
-            return _result_at(float(sigma), spec, attained=True)
+            attained = True
+            break
 
-    asym_c = _asymptotic_prs(spec, "compatible")
-    asym_d = _asymptotic_prs(spec, "different")
-    smallest = float(sigmas[-1])
-    return DesignResult(
-        sigma_r=smallest,
-        n_r=sigma_to_n(smallest),
-        relative_size=spec.original.variance / smallest**2,
-        prs_under_compatible=asym_c,
-        prs_under_different=asym_d,
-        attained=False,
-    )
-
-
-def _result_at(sigma_r: float, spec: DesignSpec, attained: bool) -> DesignResult:
+    sigma_r = float(sigma)
+    # All pieces of the chi-squared representation stay finite at
+    # sigma_r = 0, so the asymptotes are a direct evaluation there.
+    var_r = sigma_r * sigma_r if attained else 0.0
     return DesignResult(
         sigma_r=sigma_r,
         n_r=sigma_to_n(sigma_r),
         relative_size=spec.original.variance / sigma_r**2,
-        prs_under_compatible=prob_replication_success(sigma_r, spec, "compatible"),
-        prs_under_different=prob_replication_success(sigma_r, spec, "different"),
+        prs_under_compatible=_prs_from_var(var_r, spec, "compatible"),
+        prs_under_different=_prs_from_var(var_r, spec, "different"),
         attained=attained,
     )
 

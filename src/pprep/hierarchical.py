@@ -31,8 +31,6 @@ from .special import (
 )
 
 __all__ = [
-    "HierarchicalModel",
-    "HeterogeneityPrior",
     "OverallEffectPrior",
     "HierarchicalHypothesis",
     "hier_posterior_theta_r",
@@ -53,90 +51,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Model and prior types
+# Heterogeneity priors
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class HierarchicalModel:
-    """Two-study normal hierarchy with fixed heterogeneity variance.
-
-    ``flat_prior_scale`` is the arbitrary constant of the flat prior on
-    the overall effect; it cancels in every posterior and is kept only so
-    reported marginal likelihoods state their convention (k = 1).
-    """
-
-    pair: StudyPair
-    tau2: float = 0.0
-    flat_prior_scale: float = 1.0
-
-    def __post_init__(self):
-        if not (self.tau2 >= 0):
-            raise DomainError("heterogeneity variance must be nonnegative")
-        if not (self.flat_prior_scale > 0):
-            raise DomainError("flat prior scale must be positive")
+# A prior on the heterogeneity variance: a fixed value (a point mass) or
+# one of the continuous families.
+Tau2Prior = float | GFParams | InvGammaParams
+_CONTINUOUS = (GFParams, InvGammaParams)
 
 
-@dataclass(frozen=True)
-class HeterogeneityPrior:
-    """Prior on the heterogeneity variance: degenerate or continuous."""
+def _tau2_logpdf(tau2: float, prior: GFParams | InvGammaParams) -> float:
+    if isinstance(prior, GFParams):
+        return gf_logpdf(tau2, prior)
+    return invgamma_logpdf(tau2, prior)
 
-    kind: str
-    tau2: float | None = None
-    gf: GFParams | None = None
-    ig: InvGammaParams | None = None
 
-    def __post_init__(self):
-        if self.kind == "fixed":
-            if self.tau2 is None or self.tau2 < 0:
-                raise DomainError("fixed heterogeneity prior needs tau2 >= 0")
-        elif self.kind == "generalized_f":
-            if self.gf is None:
-                raise DomainError("generalized F prior needs parameters")
-        elif self.kind == "inverse_gamma":
-            if self.ig is None:
-                raise DomainError("inverse gamma prior needs parameters")
-        else:
-            raise DomainError(f"unknown heterogeneity prior kind {self.kind!r}")
-
-    @classmethod
-    def fixed(cls, tau2: float) -> "HeterogeneityPrior":
-        return cls(kind="fixed", tau2=tau2)
-
-    @classmethod
-    def generalized_f(cls, params: GFParams) -> "HeterogeneityPrior":
-        return cls(kind="generalized_f", gf=params)
-
-    @classmethod
-    def inverse_gamma(cls, params: InvGammaParams) -> "HeterogeneityPrior":
-        return cls(kind="inverse_gamma", ig=params)
-
-    @classmethod
-    def from_alpha_prior(cls, prior: BetaParams, sigma2_o: float) -> "HeterogeneityPrior":
-        """The tau2 prior matching a beta prior on the power parameter."""
-        return tau2_prior_from_alpha_prior(prior, sigma2_o)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.kind == "fixed"
-
-    def logpdf(self, tau2):
-        """Log prior density at tau2 (continuous kinds only)."""
-        if self.kind == "generalized_f":
-            return gf_logpdf(tau2, self.gf)
-        if self.kind == "inverse_gamma":
-            return invgamma_logpdf(tau2, self.ig)
-        raise DomainError("a degenerate (fixed) heterogeneity prior has no density")
-
-    @property
-    def characteristic_scale(self) -> float:
-        """Order of magnitude of the prior mass, used to anchor the
-        semi-infinite quadrature substitution."""
-        if self.kind == "generalized_f":
-            return 1.0 / self.gf.lam
-        if self.kind == "inverse_gamma":
-            return self.ig.r / (self.ig.q + 1.0)
-        raise DomainError("a degenerate (fixed) heterogeneity prior has no scale")
+def _tau2_scale(prior: GFParams | InvGammaParams) -> float:
+    """Order of magnitude of the prior mass, used to anchor the
+    semi-infinite quadrature substitution."""
+    if isinstance(prior, GFParams):
+        return 1.0 / prior.lam
+    return prior.r / (prior.q + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +79,20 @@ class HeterogeneityPrior:
 # ---------------------------------------------------------------------------
 
 
-def hier_posterior_theta_r(model: HierarchicalModel) -> NormalParams:
+def hier_posterior_theta_r(pair: StudyPair, tau2: float) -> NormalParams:
     """Posterior of the replication-specific effect at fixed heterogeneity.
 
     Precision-weighted combination of the replication estimate and the
     original estimate, the latter carrying the extra variance 2 tau2 from
-    the two hierarchy levels between the studies.
+    the two hierarchy levels between the studies. The flat prior on the
+    overall effect cancels, so its constant does not enter.
     """
-    rep = model.pair.replication
-    orig = model.pair.original
+    if not (tau2 >= 0):
+        raise DomainError("heterogeneity variance must be nonnegative")
+    rep = pair.replication
+    orig = pair.original
     w_rep = 1.0 / rep.variance
-    w_orig = 1.0 / (2.0 * model.tau2 + orig.variance)
+    w_orig = 1.0 / (2.0 * tau2 + orig.variance)
     variance = 1.0 / (w_rep + w_orig)
     mean = (rep.estimate * w_rep + orig.estimate * w_orig) * variance
     return NormalParams(mean, variance)
@@ -199,7 +137,7 @@ def I2_to_alpha(i2: float) -> float:
     return (1.0 - i2) / (1.0 + i2)
 
 
-def tau2_prior_from_alpha_prior(prior: BetaParams, sigma2_o: float) -> HeterogeneityPrior:
+def tau2_prior_from_alpha_prior(prior: BetaParams, sigma2_o: float) -> GFParams:
     """Push a beta prior on alpha through the bridge map onto tau2.
 
     The result is a generalized F prior with swapped shapes and rate
@@ -207,9 +145,7 @@ def tau2_prior_from_alpha_prior(prior: BetaParams, sigma2_o: float) -> Heterogen
     """
     if not (sigma2_o > 0):
         raise DomainError("sigma2_o must be positive")
-    return HeterogeneityPrior.generalized_f(
-        GFParams(a=prior.y, b=prior.x, lam=2.0 / sigma2_o)
-    )
+    return GFParams(a=prior.y, b=prior.x, lam=2.0 / sigma2_o)
 
 
 def I2_prior_from_alpha_prior(prior: BetaParams) -> GBetaParams:
@@ -236,12 +172,12 @@ def hier_evidence(pair: StudyPair, tau2: float) -> float:
 
 @lru_cache(maxsize=512)
 def _tau2_posterior_norm(
-    pair: StudyPair, prior: HeterogeneityPrior, quad: QuadratureSpec
+    pair: StudyPair, prior: GFParams | InvGammaParams, quad: QuadratureSpec
 ) -> tuple[float, float]:
     def integrand(tau2: float) -> float:
-        return math.exp(hier_evidence(pair, tau2) + prior.logpdf(tau2))
+        return math.exp(hier_evidence(pair, tau2) + _tau2_logpdf(tau2, prior))
 
-    value, err = integrate_semiinf(integrand, quad, scale=prior.characteristic_scale)
+    value, err = integrate_semiinf(integrand, quad, scale=_tau2_scale(prior))
     if value <= 0.0:
         return -math.inf, err
     return math.log(value), err / value
@@ -250,42 +186,42 @@ def _tau2_posterior_norm(
 def hier_marginal_posterior_tau2(
     tau2: float,
     pair: StudyPair,
-    prior: HeterogeneityPrior,
+    prior: GFParams | InvGammaParams,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Marginal posterior log-density of the heterogeneity variance."""
-    if prior.is_degenerate:
+    if not isinstance(prior, _CONTINUOUS):
         raise DomainError("tau2 posterior requires a continuous prior")
     log_norm, _ = _tau2_posterior_norm(pair, prior, quad)
-    return hier_evidence(pair, tau2) + prior.logpdf(tau2) - log_norm
+    return hier_evidence(pair, tau2) + _tau2_logpdf(tau2, prior) - log_norm
 
 
 def hier_marginal_posterior_theta_r(
     theta: float,
     pair: StudyPair,
-    prior: HeterogeneityPrior,
+    prior: Tau2Prior,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
     """Marginal posterior log-density of the replication-specific effect.
 
     Mixes the fixed-tau2 normal posterior over the tau2 posterior; both
     the mixture integral and its normalizer run through semi-infinite
-    quadrature.
+    quadrature. A fixed tau2 gives the fixed-heterogeneity normal.
     """
-    if prior.is_degenerate:
-        cond = hier_posterior_theta_r(HierarchicalModel(pair, prior.tau2))
+    if not isinstance(prior, _CONTINUOUS):
+        cond = hier_posterior_theta_r(pair, prior)
         return normal_logpdf(theta, cond.mean, cond.variance)
     log_norm, _ = _tau2_posterior_norm(pair, prior, quad)
 
     def integrand(tau2: float) -> float:
-        cond = hier_posterior_theta_r(HierarchicalModel(pair, tau2))
+        cond = hier_posterior_theta_r(pair, tau2)
         return math.exp(
             normal_logpdf(theta, cond.mean, cond.variance)
             + hier_evidence(pair, tau2)
-            + prior.logpdf(tau2)
+            + _tau2_logpdf(tau2, prior)
         )
 
-    value, _ = integrate_semiinf(integrand, quad, scale=prior.characteristic_scale)
+    value, _ = integrate_semiinf(integrand, quad, scale=_tau2_scale(prior))
     if value <= 0.0:
         return -math.inf
     return math.log(value) - log_norm
@@ -335,8 +271,12 @@ class HierarchicalHypothesis:
     """A proper joint prior for (overall effect, tau2), or point masses."""
 
     effect: OverallEffectPrior
-    heterogeneity: HeterogeneityPrior
+    heterogeneity: Tau2Prior
     label: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.heterogeneity, _CONTINUOUS) and not (self.heterogeneity >= 0):
+            raise DomainError("fixed heterogeneity prior needs tau2 >= 0")
 
 
 def _hier_marginal_likelihood(
@@ -351,13 +291,13 @@ def _hier_marginal_likelihood(
         return normal_logpdf(rep.estimate, hyp.effect.mean, var)
 
     het = hyp.heterogeneity
-    if het.is_degenerate:
-        return log_cond(het.tau2), 0.0
+    if not isinstance(het, _CONTINUOUS):
+        return log_cond(het), 0.0
 
     def integrand(tau2: float) -> float:
-        return math.exp(log_cond(tau2) + het.logpdf(tau2))
+        return math.exp(log_cond(tau2) + _tau2_logpdf(tau2, het))
 
-    value, err = integrate_semiinf(integrand, quad, scale=het.characteristic_scale)
+    value, err = integrate_semiinf(integrand, quad, scale=_tau2_scale(het))
     if value <= 0.0:
         return -math.inf, err
     return math.log(value), err / value
@@ -390,7 +330,7 @@ def effect_test_hypotheses(
     """
     null = HierarchicalHypothesis(
         effect=OverallEffectPrior(mean=0.0, point=True),
-        heterogeneity=HeterogeneityPrior.fixed(0.0),
+        heterogeneity=0.0,
         label="theta* = 0, tau2 = 0",
     )
     alternative = HierarchicalHypothesis(
@@ -415,12 +355,12 @@ def compatibility_point_hypotheses(
     s = ui.shrinkage(original.variance)
     discounting = HierarchicalHypothesis(
         effect=OverallEffectPrior(mean=0.0, variance=ui.kappa2),
-        heterogeneity=HeterogeneityPrior.fixed(0.0),
+        heterogeneity=0.0,
         label="theta* ~ unit information, tau2 = 0",
     )
     pooling = HierarchicalHypothesis(
         effect=OverallEffectPrior(mean=s * original.estimate, variance=s * original.variance),
-        heterogeneity=HeterogeneityPrior.fixed(0.0),
+        heterogeneity=0.0,
         label="theta* ~ updated unit information, tau2 = 0",
     )
     return discounting, pooling
@@ -445,7 +385,7 @@ def compatibility_beta_hypotheses(
     )
     homogeneous = HierarchicalHypothesis(
         effect=effect,
-        heterogeneity=HeterogeneityPrior.fixed(0.0),
+        heterogeneity=0.0,
         label="tau2 = 0",
     )
     return heterogeneous, homogeneous

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import minimize_scalar
 
 from .exceptions import DomainError, GridStateError
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_unit
@@ -40,11 +41,11 @@ __all__ = [
     "alpha_empirical_bayes",
     "limiting_alpha_posterior_logdensity",
     "summarize",
+    "theta_lattice",
     "theta_grid",
     "alpha_grid",
     "joint_grid",
     "alpha_mode",
-    "golden_section_max",
 ]
 
 DEFAULT_GRID_POINTS = 401
@@ -327,29 +328,24 @@ def limiting_alpha_posterior_logdensity(alpha):
 # ---------------------------------------------------------------------------
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Location of the maximum of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _default_theta_range(pair: StudyPair, span: float) -> tuple[float, float]:
     pooled = posterior_theta_fixed_alpha(pair, 1.0)
     half = span * math.sqrt(pooled.variance)
     return pooled.mean - half, pooled.mean + half
+
+
+def theta_lattice(
+    pair: StudyPair,
+    *,
+    num: int = DEFAULT_GRID_POINTS,
+    span: float = DEFAULT_THETA_SPAN,
+    theta_range: tuple[float, float] | None = None,
+) -> np.ndarray:
+    """Effect-size lattice of the theta and joint grids: ``num`` points
+    over ``theta_range``, by default the pooled posterior mean plus or
+    minus ``span`` pooled standard deviations."""
+    lo, hi = theta_range if theta_range is not None else _default_theta_range(pair, span)
+    return np.linspace(lo, hi, num)
 
 
 def theta_grid(
@@ -362,8 +358,7 @@ def theta_grid(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> DensityGrid:
     """Normalized grid of the effect-size marginal posterior."""
-    lo, hi = theta_range if theta_range is not None else _default_theta_range(pair, span)
-    thetas = np.linspace(lo, hi, num)
+    thetas = theta_lattice(pair, num=num, span=span, theta_range=theta_range)
     logdens = np.array([marginal_posterior_theta(t, pair, prior, quad) for t in thetas])
     return DensityGrid(axis1=thetas, logdens=logdens).normalize()
 
@@ -394,8 +389,7 @@ def joint_grid(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> DensityGrid:
     """Normalized 2-D grid of the joint (theta, alpha) posterior."""
-    lo, hi = theta_range if theta_range is not None else _default_theta_range(pair, span)
-    thetas = np.linspace(lo, hi, num_theta)
+    thetas = theta_lattice(pair, num=num_theta, span=span, theta_range=theta_range)
     alphas = np.linspace(alpha_min, 1.0, num_alpha)
     rep, orig = pair.replication, pair.original
     log_z, _ = _cached_evidence(pair, prior, quad)
@@ -416,17 +410,26 @@ def alpha_mode(
     alpha_min: float = DEFAULT_ALPHA_FLOOR,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> float:
-    """Mode of the alpha marginal, golden-section refined past the grid."""
+    """Mode of the alpha marginal, refined past the grid."""
     alphas = np.linspace(alpha_min, 1.0, num)
     logdens = marginal_posterior_alpha(alphas, pair, prior, quad)
-    i = int(np.argmax(logdens))
-    lo = alphas[max(i - 1, 0)]
-    hi = alphas[min(i + 1, num - 1)]
-    if lo == hi:
-        return float(alphas[i])
-    return golden_section_max(
-        lambda a: marginal_posterior_alpha(a, pair, prior, quad), lo, hi
+    return _refined_argmax(
+        alphas, logdens, lambda a: marginal_posterior_alpha(a, pair, prior, quad)
     )
+
+
+def _refined_argmax(x: np.ndarray, logdens: np.ndarray, f: Callable[[float], float]) -> float:
+    """Lattice argmax of ``logdens``, refined by a bounded Brent search for
+    the maximum of ``f`` between the neighbouring lattice points."""
+    i = int(np.argmax(logdens))
+    lo = x[max(i - 1, 0)]
+    hi = x[min(i + 1, x.size - 1)]
+    if lo == hi:
+        return float(x[i])
+    result = minimize_scalar(
+        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
+    )
+    return float(result.x)
 
 
 def summarize(
@@ -436,8 +439,8 @@ def summarize(
 ) -> PosteriorSummary:
     """Trapezoid-based moments, equal-tailed interval, and mode of a grid.
 
-    The mode is taken at the lattice argmax and refined: by golden-section
-    search on ``density_fn`` when the continuous density is supplied,
+    The mode is taken at the lattice argmax and refined: by a bounded
+    Brent search on ``density_fn`` when the continuous density is supplied,
     otherwise by the vertex of the parabola through the three neighboring
     lattice points.
     """
@@ -462,9 +465,7 @@ def summarize(
 
     i = int(np.argmax(grid.logdens))
     if density_fn is not None:
-        lo = x[max(i - 1, 0)]
-        hi = x[min(i + 1, x.size - 1)]
-        mode = lo if lo == hi else golden_section_max(density_fn, lo, hi)
+        mode = _refined_argmax(x, grid.logdens, density_fn)
     elif 0 < i < x.size - 1:
         mode = _parabolic_vertex(x[i - 1 : i + 2], grid.logdens[i - 1 : i + 2])
     else:

@@ -7,7 +7,6 @@ reporting boundary. Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "GFParams",
     "InvGammaParams",
     "log_beta",
-    "kummer_m",
     "log_kummer_m",
     "normal_logpdf",
     "beta_logpdf",
@@ -38,7 +36,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 _KUMMER_MAX_SHAPE = 100.0
 _KUMMER_MAX_ABS_Z = 1e6
 _KUMMER_SERIES_MAX_Z = 30.0
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _KUMMER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-290, max_subdivisions=300)
 
 
@@ -175,21 +172,6 @@ def log_kummer_m(a: float, b: float, z: float) -> float:
     right, _ = integrate_unit(right_integrand, _KUMMER_QUAD)
     value = mid * left + (cutoff - mid) * right
     return z + math.log(value) - c * math.log(z) - float(betaln(a, c))
-
-
-def kummer_m(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric function M(a, b, z) on the domain b > a > 0.
-
-    For very large z the value exceeds the double-precision range even
-    though its logarithm is fine; use :func:`log_kummer_m` there.
-    """
-    log_value = log_kummer_m(a, b, z)
-    if log_value > _LOG_FLOAT_MAX:
-        raise UnsupportedDomainError(
-            f"kummer_m({a}, {b}, {z}) overflows double precision; "
-            "use log_kummer_m instead"
-        )
-    return math.exp(log_value)
 
 
 def normal_logpdf(x, mean, variance):

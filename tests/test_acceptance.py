@@ -16,7 +16,6 @@ import pytest
 from pprep import (
     BetaParams,
     DesignSpec,
-    HierarchicalModel,
     Study,
     StudyPair,
     UnitInformation,
@@ -218,7 +217,7 @@ class TestCriterion4BridgeEquivalence:
         for pair in PAIRS:
             for tau2 in rng.uniform(0.0, 5.0, size=334):
                 alpha = tau2_to_alpha(float(tau2), pair.original.variance)
-                hier = hier_posterior_theta_r(HierarchicalModel(pair, float(tau2)))
+                hier = hier_posterior_theta_r(pair, float(tau2))
                 power = posterior_theta_fixed_alpha(pair, alpha)
                 worst = max(worst, abs(hier.mean - power.mean), abs(hier.variance - power.variance))
         ok = worst <= 1e-12
@@ -428,7 +427,7 @@ class TestCriterion7PropertySuites:
         for _ in range(500):
             bp = BetaParams(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)))
             s2 = float(rng.uniform(1e-4, 0.5))
-            gf = tau2_prior_from_alpha_prior(bp, s2).gf
+            gf = tau2_prior_from_alpha_prior(bp, s2)
             tau2 = float(rng.uniform(0.0, 3.0))
             alpha = s2 / (2.0 * tau2 + s2)
             assert gf_logpdf(tau2, gf) == pytest.approx(

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import pprep.inference
 from pprep.cli import AnalysisConfig, StudyRecord, load_input, main
 from pprep.exceptions import InputValidationError
 
@@ -101,6 +102,36 @@ class TestInputParsing:
         assert err["error"]["type"] == "validation"
         assert err["error"]["field"] == "estimate"
         assert err["error"]["line"] == 2
+
+    @pytest.mark.parametrize(
+        "record,config,field",
+        [
+            ({"estimate": "abc"}, {}, "estimate"),
+            ({"estimate": None}, {}, "estimate"),
+            ({"estimate": True}, {}, "estimate"),
+            ({"se": "0.05"}, {}, "se"),
+            ({"se": None, "n": 100.7}, {}, "n"),
+            (5, {}, "record"),
+            ({}, {"grid_points": "401"}, "grid_points"),
+        ],
+        ids=["string", "null", "boolean", "string-se", "fractional-n", "non-object",
+             "string-config"],
+    )
+    def test_strict_types_at_the_boundary(self, tmp_path, capsys, record, config, field):
+        replication = record if not isinstance(record, dict) else {
+            "id": "labels-rep", "role": "replication", "effect_type": "smd",
+            "estimate": 0.09, "se": 0.05, **record,
+        }
+        path = tmp_path / "typed.json"
+        path.write_text(
+            json.dumps({"records": [LABELS_ORIGINAL, replication], "config": config}),
+            encoding="utf-8",
+        )
+        code = main(["test", "--input", str(path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"]["type"] == "validation"
+        assert err["error"]["field"] == field
 
     def test_duplicate_original_rejected(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
@@ -277,6 +308,21 @@ class TestBridgeCommand:
             for r in rows
         ]
         assert max(diffs) < 1e-5
+
+    def test_power_prior_marginal_evaluated_once_per_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        log_kummer_m = pprep.inference.log_kummer_m
+
+        def counted(*args):
+            calls.append(args)
+            return log_kummer_m(*args)
+
+        monkeypatch.setattr(pprep.inference, "log_kummer_m", counted)
+        path = write_pair(tmp_path, "rep1.json", 0.09, 0.05)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_points": 26}), encoding="utf-8")
+        run_json(capsys, ["bridge", "--input", str(path), "--config", str(config)])
+        assert len(calls) == 26
 
 
 class TestReproducibilityBlock:

@@ -12,8 +12,7 @@ from pprep import (
     DomainError,
     GBetaParams,
     GFParams,
-    HeterogeneityPrior,
-    HierarchicalModel,
+    HierarchicalHypothesis,
     InvGammaParams,
     I2_prior_from_alpha_prior,
     I2_to_alpha,
@@ -50,20 +49,20 @@ from conftest import normal_pdf, rng_for, simpson_semiinf
 class TestFixedHeterogeneityPosterior:
     def test_zero_heterogeneity_equals_full_pooling(self, labels_pairs):
         pair = labels_pairs[0]
-        hier = hier_posterior_theta_r(HierarchicalModel(pair, 0.0))
+        hier = hier_posterior_theta_r(pair, 0.0)
         power = posterior_theta_fixed_alpha(pair, 1.0)
         assert hier == power
 
     def test_huge_heterogeneity_ignores_original(self, labels_pairs):
         pair = labels_pairs[0]
-        hier = hier_posterior_theta_r(HierarchicalModel(pair, 1e8))
+        hier = hier_posterior_theta_r(pair, 1e8)
         assert hier.mean == pytest.approx(0.09, abs=1e-7)
         assert hier.variance == pytest.approx(0.0025, rel=1e-7)
 
     def test_mapped_heterogeneity_matches_half_weight(self, labels_pairs):
         pair = labels_pairs[0]
         tau2 = pair.original.variance * (1.0 / 0.5 - 1.0) / 2.0
-        hier = hier_posterior_theta_r(HierarchicalModel(pair, tau2))
+        hier = hier_posterior_theta_r(pair, tau2)
         power = posterior_theta_fixed_alpha(pair, 0.5)
         assert hier.mean == pytest.approx(power.mean, rel=1e-14)
         assert hier.variance == pytest.approx(power.variance, rel=1e-14)
@@ -73,7 +72,7 @@ class TestFixedHeterogeneityPosterior:
         pair = labels_pairs[2]
         for tau2 in rng.uniform(0.0, 5.0, size=1000):
             alpha = tau2_to_alpha(float(tau2), pair.original.variance)
-            hier = hier_posterior_theta_r(HierarchicalModel(pair, float(tau2)))
+            hier = hier_posterior_theta_r(pair, float(tau2))
             power = posterior_theta_fixed_alpha(pair, alpha)
             assert hier.mean == pytest.approx(power.mean, abs=1e-12)
             assert hier.variance == pytest.approx(power.variance, abs=1e-12)
@@ -121,15 +120,15 @@ class TestDeterministicMaps:
 class TestPriorPushforwards:
     def test_uniform_alpha_gives_near_uniform_shrinkage_prior(self):
         prior = tau2_prior_from_alpha_prior(BetaParams(1.0, 1.0), 0.0025)
-        assert prior.gf == GFParams(1.0, 1.0, 800.0)
+        assert prior == GFParams(1.0, 1.0, 800.0)
         # density proportional to var_o / (2 tau2 + var_o)^2
         for tau2 in (0.0, 0.001, 0.01):
             expected = 2.0 / 0.0025 / (1.0 + 2.0 * tau2 / 0.0025) ** 2
-            assert math.exp(gf_logpdf(tau2, prior.gf)) == pytest.approx(expected, rel=1e-12)
+            assert math.exp(gf_logpdf(tau2, prior)) == pytest.approx(expected, rel=1e-12)
 
     def test_decreasing_alpha_prior_vanishes_at_zero_heterogeneity(self):
         prior = tau2_prior_from_alpha_prior(BetaParams(1.0, 2.0), 0.0025)
-        assert math.exp(gf_logpdf(0.0, prior.gf)) == 0.0
+        assert math.exp(gf_logpdf(0.0, prior)) == 0.0
 
     def test_matching_condition_pointwise(self):
         rng = rng_for(54)
@@ -140,7 +139,7 @@ class TestPriorPushforwards:
             tau2 = float(rng.uniform(0.0, 3.0))
             alpha = s2 / (2.0 * tau2 + s2)
             jacobian = 2.0 * s2 / (2.0 * tau2 + s2) ** 2  # |dalpha/dtau2|
-            lhs = gf_logpdf(tau2, prior.gf)
+            lhs = gf_logpdf(tau2, prior)
             rhs = beta_logpdf(alpha, bp.x, bp.y) + math.log(jacobian)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -174,7 +173,7 @@ class TestPriorPushforwards:
         for _ in range(500):
             bp = BetaParams(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)))
             s2 = float(rng.uniform(1e-3, 0.5))
-            gf = tau2_prior_from_alpha_prior(bp, s2).gf
+            gf = tau2_prior_from_alpha_prior(bp, s2)
             gbe = I2_prior_from_alpha_prior(bp)
             i2 = float(rng.uniform(1e-6, 1.0 - 1e-6))
             tau2 = s2 * i2 / (1.0 - i2)
@@ -214,7 +213,7 @@ class TestRandomHeterogeneityPosteriors:
         prior = tau2_prior_from_alpha_prior(uniform_prior, pair.original.variance)
         for tau2 in (0.001, 0.01, 0.1):
             post = hier_marginal_posterior_tau2(tau2, pair, prior)
-            assert post == pytest.approx(prior.logpdf(tau2), rel=1e-3)
+            assert post == pytest.approx(gf_logpdf(tau2, prior), rel=1e-3)
 
     def test_theta_r_marginal_matches_power_prior(self, labels_pairs):
         pair = labels_pairs[1]
@@ -227,7 +226,7 @@ class TestRandomHeterogeneityPosteriors:
 
     def test_degenerate_prior_collapses_to_pooling(self, labels_pairs):
         pair = labels_pairs[0]
-        prior = HeterogeneityPrior.fixed(0.0)
+        prior = 0.0
         pooled = posterior_theta_fixed_alpha(pair, 1.0)
         theta = 0.17
         got = hier_marginal_posterior_theta_r(theta, pair, prior)
@@ -237,7 +236,7 @@ class TestRandomHeterogeneityPosteriors:
     def test_invgamma_prior_against_nested_simpson(self, labels_pairs):
         pair = labels_pairs[2]
         ig = InvGammaParams(2.0, 0.001)
-        prior = HeterogeneityPrior.inverse_gamma(ig)
+        prior = ig
         scale = ig.r / (ig.q + 1.0)
 
         def norm_integrand(tau2):
@@ -325,29 +324,18 @@ class TestBayesFactorCorrespondences:
 
 
 class TestHeterogeneityPriorType:
-    def test_kind_validation(self):
-        with pytest.raises(DomainError):
-            HeterogeneityPrior(kind="fixed")
-        with pytest.raises(DomainError):
-            HeterogeneityPrior(kind="generalized_f")
-        with pytest.raises(DomainError):
-            HeterogeneityPrior(kind="mystery")
-
     def test_degenerate_has_no_density(self):
-        prior = HeterogeneityPrior.fixed(0.3)
-        assert prior.is_degenerate
         with pytest.raises(DomainError):
-            prior.logpdf(0.1)
-        with pytest.raises(DomainError):
-            hier_marginal_posterior_tau2(0.1, StudyPair(Study(0, 1), Study(0, 1)), prior)
+            hier_marginal_posterior_tau2(0.1, StudyPair(Study(0, 1), Study(0, 1)), 0.3)
 
     def test_from_alpha_prior_constructor(self):
-        prior = HeterogeneityPrior.from_alpha_prior(BetaParams(2.0, 3.0), 0.01)
-        assert prior.kind == "generalized_f"
-        assert prior.gf == GFParams(3.0, 2.0, 200.0)
+        prior = tau2_prior_from_alpha_prior(BetaParams(2.0, 3.0), 0.01)
+        assert prior == GFParams(3.0, 2.0, 200.0)
 
     def test_model_validation(self, labels_pairs):
         with pytest.raises(DomainError):
-            HierarchicalModel(labels_pairs[0], tau2=-0.1)
+            hier_posterior_theta_r(labels_pairs[0], -0.1)
         with pytest.raises(DomainError):
-            HierarchicalModel(labels_pairs[0], flat_prior_scale=0.0)
+            hier_marginal_posterior_theta_r(0.2, labels_pairs[0], -0.1)
+        with pytest.raises(DomainError):
+            HierarchicalHypothesis(OverallEffectPrior(mean=0.0, point=True), -0.1)

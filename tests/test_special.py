@@ -20,7 +20,6 @@ from pprep import (
     integrate_semiinf,
     integrate_unit,
     invgamma_logpdf,
-    kummer_m,
     log_beta,
     log_kummer_m,
     noncentral_chisq1_cdf,
@@ -68,14 +67,14 @@ def _kummer_integral_oracle(a: float, b: float, z: float) -> float:
 class TestKummerM:
     def test_at_zero_is_one(self):
         for a, b in [(0.5, 1.0), (1.5, 2.5), (2.0, 5.0), (10.0, 30.0)]:
-            assert kummer_m(a, b, 0.0) == pytest.approx(1.0, abs=1e-15)
+            assert math.exp(log_kummer_m(a, b, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_closed_form_series_value(self):
         # M(1, 2, z) = (e^z - 1)/z
-        assert kummer_m(1.0, 2.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-13)
+        assert math.exp(log_kummer_m(1.0, 2.0, 1.0)) == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_negative_argument_against_integral_oracle(self):
-        got = kummer_m(1.5, 2.5, -8.82)
+        got = math.exp(log_kummer_m(1.5, 2.5, -8.82))
         assert got == pytest.approx(_kummer_integral_oracle(1.5, 2.5, -8.82), rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -83,7 +82,8 @@ class TestKummerM:
         [(1.5, 3.5, 7.0), (0.7, 1.9, -4.0), (2.0, 6.0, 55.0), (4.0, 9.0, -120.0)],
     )
     def test_moderate_arguments_against_integral_oracle(self, a, b, z):
-        assert kummer_m(a, b, z) == pytest.approx(_kummer_integral_oracle(a, b, z), rel=1e-9)
+        got = math.exp(log_kummer_m(a, b, z))
+        assert got == pytest.approx(_kummer_integral_oracle(a, b, z), rel=1e-9)
 
     def test_acceptance_domain_against_high_precision(self):
         # The supported domain promises relative 1e-10; mpmath provides an
@@ -115,14 +115,13 @@ class TestKummerM:
             (0.0, 1.0, 1.0),   # needs a > 0
             (-1.0, 2.0, 1.0),
             (1.0, 0.5, 1.0),
-            (1.0, 2.0, 900.0),   # linear-scale overflow
             (1.0, 2.0, 2e6),     # beyond validated |z|
             (101.0, 102.0, 1.0),  # beyond supported shapes
         ],
     )
     def test_unsupported_domain(self, a, b, z):
         with pytest.raises(UnsupportedDomainError):
-            kummer_m(a, b, z)
+            log_kummer_m(a, b, z)
 
 
 class TestNormalLogpdf:
