@@ -69,7 +69,7 @@ from .inference import (
     alpha_empirical_bayes,
     alpha_grid,
     alpha_mode,
-    evidence,
+    evidence_and_error,
     joint_grid,
     joint_posterior_logdensity,
     limiting_alpha_posterior_logdensity,

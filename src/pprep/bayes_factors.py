@@ -10,7 +10,6 @@ a three-way classification instead of pretending to a numeric value.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,20 +101,17 @@ class UnitInformation:
 class LimitClassification:
     """Degenerate limit of a Bayes factor as the replication noise vanishes.
 
-    ``kind`` is one of ``finite`` (with ``value``), ``plus_infinity``, or
-    ``zero``. When a Dirac atom drives the limit, the finite factor
-    multiplying it is surfaced as ``pre_dirac_factor``.
+    ``kind`` is ``plus_infinity`` or ``zero``. When a Dirac atom drives
+    the limit, the finite factor multiplying it is surfaced as
+    ``pre_dirac_factor``.
     """
 
     kind: str
-    value: float | None = None
     pre_dirac_factor: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("finite", "plus_infinity", "zero"):
+        if self.kind not in ("plus_infinity", "zero"):
             raise DomainError(f"unknown limit kind {self.kind!r}")
-        if self.kind == "finite" and not (self.value is not None and self.value > 0):
-            raise DomainError("finite limit classification requires a positive value")
 
 
 def _two_significant(v: float) -> str:
@@ -203,24 +199,15 @@ def bf_dc_point(pair: StudyPair, ui: UnitInformation) -> BayesFactorResult:
 
 
 def bf_dc_beta(
-    pair: StudyPair,
-    y: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    *,
-    allow_uniform: bool = False,
+    pair: StudyPair, y: float, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> BayesFactorResult:
     """Partial discounting, alpha ~ Be(1, y), against complete pooling.
 
     The decreasing Be(1, y) prior puts its mass on small alpha, so it
-    needs y > 1 to actually favor discounting; y = 1 (a uniform prior) is
-    accepted only with ``allow_uniform``.
+    needs y > 1 to actually favor discounting.
     """
-    if y < 1.0 or (y == 1.0 and not allow_uniform):
-        raise DomainError(
-            "bf_dc_beta requires y > 1 (pass allow_uniform=True to permit y = 1)"
-        )
-    if y == 1.0:
-        warnings.warn("bf_dc_beta with y = 1 uses a uniform prior on alpha", stacklevel=2)
+    if not (y > 1.0):
+        raise DomainError("bf_dc_beta requires y > 1")
     log_num, err = evidence_and_error(pair, BetaParams(1.0, y), quad)
     rep, orig = pair.replication, pair.original
     log_den = normal_logpdf(rep.estimate, orig.estimate, rep.variance + orig.variance)
@@ -301,14 +288,12 @@ def bf_dc_invgamma(
 
     # Anchor the substitution at the prior mode so huge prior scales keep
     # their mass visible to the adaptive rule.
-    value, err = integrate_semiinf(integrand, quad, scale=ig.r / (ig.q + 1.0))
-    log_num = math.log(value) if value > 0 else -math.inf
+    log_num, err = integrate_semiinf(integrand, quad, scale=ig.r / (ig.q + 1.0)).log()
     log_den = normal_logpdf(rep.estimate, orig.estimate, base_var)
-    rel_err = err / value if value > 0 else (0.0 if err == 0.0 else math.inf)
     return BayesFactorResult(
         log_bf=log_num - log_den,
         orientation=("tau2 > 0", "tau2 = 0"),
-        quadrature_err=rel_err,
+        quadrature_err=err,
     )
 
 

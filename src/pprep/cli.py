@@ -86,7 +86,7 @@ class StudyRecord:
     effect_type: str
     estimate: float
     se: float | None = None
-    sample_size: int | None = None
+    n: int | None = None
 
     def validate(self, line: int | None = None) -> None:
         if self.role not in ROLES:
@@ -102,7 +102,7 @@ class StudyRecord:
         if not math.isfinite(self.estimate):
             raise InputValidationError("estimate must be finite", field="estimate", line=line)
         if self.effect_type == "smd":
-            if (self.se is None) == (self.sample_size is None):
+            if (self.se is None) == (self.n is None):
                 raise InputValidationError(
                     "smd records need exactly one of se / sample_size (n)",
                     field="se",
@@ -114,31 +114,19 @@ class StudyRecord:
             )
         if self.se is not None and not (self.se > 0):
             raise InputValidationError("se must be positive", field="se", line=line)
-        if self.sample_size is not None and self.sample_size < 2:
-            raise InputValidationError(
-                "sample_size must be at least 2", field="n", line=line
-            )
+        if self.n is not None and self.n < 2:
+            raise InputValidationError("sample_size must be at least 2", field="n", line=line)
 
     def resolved_se(self) -> float:
         if self.se is not None:
             return self.se
-        return math.sqrt(4.0 / self.sample_size)
+        return math.sqrt(4.0 / self.n)
 
     def to_study(self) -> Study:
         return Study(self.estimate, self.resolved_se())
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "role": self.role,
-            "effect_type": self.effect_type,
-            "estimate": self.estimate,
-        }
-        if self.se is not None:
-            out["se"] = self.se
-        if self.sample_size is not None:
-            out["n"] = self.sample_size
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,12 @@ class AnalysisConfig:
             raise InputValidationError("target_power must lie in (0, 1)", field="target_power")
         if not (0 < self.ci_level < 1):
             raise InputValidationError("ci_level must lie in (0, 1)", field="ci_level")
-        if self.grid_points < 3 or self.design_grid_points < 1:
-            raise InputValidationError("grid sizes too small", field="grid_points")
+        if self.grid_points < 3:
+            raise InputValidationError("grid_points must be at least 3", field="grid_points")
+        if self.design_grid_points < 1:
+            raise InputValidationError(
+                "design_grid_points must be at least 1", field="design_grid_points"
+            )
         if self.output_format not in ("json", "csv"):
             raise InputValidationError(
                 "output_format must be json or csv", field="output_format"
@@ -267,7 +259,7 @@ def _record_from_mapping(data: dict, line: int | None = None, text: bool = False
         effect_type=str(data["effect_type"]),
         estimate=_number(data["estimate"], "estimate", line, text=text),
         se=None if data.get("se") is None else _number(data["se"], "se", line, text=text),
-        sample_size=None if n is None else _number(n, "n", line, kind=int, text=text),
+        n=None if n is None else _number(n, "n", line, kind=int, text=text),
     )
     record.validate(line)
     return record
@@ -307,15 +299,20 @@ def load_input(path: str | Path) -> tuple[list[StudyRecord], dict]:
             ) from None
         if isinstance(payload, list):
             payload = {"records": payload}
-        if isinstance(payload, dict):
-            # A previous report holds its records in its input echo.
-            body = payload["input"] if "records" in payload.get("input", {}) else payload
-            if "records" in body:
-                records = [_record_from_mapping(rec) for rec in body["records"]]
-                return records, dict(payload.get("config", {}))
-        raise InputValidationError(
-            "JSON input must be an array of records or a previous report"
-        )
+        if not isinstance(payload, dict):
+            raise InputValidationError("JSON input must be an array of records or a previous report")
+        # A previous report holds its records in its input echo.
+        body = payload.get("input", {})
+        if not isinstance(body, dict):
+            raise InputValidationError(f"input must be an object, got {body!r}", field="input")
+        if "records" not in body:
+            body = payload
+        records, config = body.get("records"), payload.get("config", {})
+        if not isinstance(records, list):
+            raise InputValidationError(f"records must be a list, got {records!r}", field="records")
+        if not isinstance(config, dict):
+            raise InputValidationError(f"config must be an object, got {config!r}", field="config")
+        return [_record_from_mapping(rec) for rec in records], config
     return _records_from_csv(text), {}
 
 
@@ -356,14 +353,7 @@ def _envelope(command: str, config: AnalysisConfig, records: list[StudyRecord],
         "config": asdict(config),
         "input": {"records": [r.to_dict() for r in records]},
         "results": results,
-        "diagnostics": {
-            "quadrature": {
-                "rel_tol": config.rel_tol,
-                "abs_tol": config.abs_tol,
-                "max_subdivisions": config.max_subdivisions,
-            },
-            "max_err_estimate": max_err,
-        },
+        "diagnostics": {"quadrature": asdict(config.quad()), "max_err_estimate": max_err},
     }
 
 
@@ -409,7 +399,7 @@ def cmd_estimate(records: list[StudyRecord], config: AnalysisConfig,
     check_dens = marginal_posterior_alpha(check_alphas, pair, prior, quad)
     monotone = bool(np.all(np.diff(check_dens) > 0))
 
-    _, ev_err = evidence_and_error(pair, prior, quad)
+    ev_err = evidence_and_error(pair, prior, quad).err_estimate
 
     results = {
         "theta": asdict(theta_summary),
@@ -560,8 +550,8 @@ def cmd_bridge(records: list[StudyRecord], config: AnalysisConfig,
 
     results = {
         "mapping": mapping,
-        "tau2_prior": {"family": "generalized_f", "a": gf.a, "b": gf.b, "lam": gf.lam},
-        "i2_prior": {"family": "generalized_beta", "a": gbe.a, "b": gbe.b, "lam": gbe.lam},
+        "tau2_prior": {"family": "generalized_f", **asdict(gf)},
+        "i2_prior": {"family": "generalized_beta", **asdict(gbe)},
         "overlay_max_abs_logdens_diff": max_diff,
     }
     if grid_out is not None:

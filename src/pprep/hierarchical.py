@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .bayes_factors import BayesFactorResult, UnitInformation
 from .exceptions import DomainError
 from .inference import BetaParams, NormalParams, Study, StudyPair
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_semiinf
+from .quadrature import DEFAULT_QUAD, IntegralResult, QuadratureSpec, integrate_semiinf
 from .special import (
     GBetaParams,
     GFParams,
@@ -66,12 +67,22 @@ def _tau2_logpdf(tau2: float, prior: GFParams | InvGammaParams) -> float:
     return invgamma_logpdf(tau2, prior)
 
 
-def _tau2_scale(prior: GFParams | InvGammaParams) -> float:
-    """Order of magnitude of the prior mass, used to anchor the
-    semi-infinite quadrature substitution."""
+def _tau2_mixture(
+    log_f: Callable[[float], float], prior: GFParams | InvGammaParams, quad: QuadratureSpec
+) -> IntegralResult:
+    """Log of int_0^inf exp(log_f(tau2)) p(tau2) dtau2 over a continuous
+    tau2 prior, with its log-scale error estimate."""
     if isinstance(prior, GFParams):
-        return 1.0 / prior.lam
-    return prior.r / (prior.q + 1.0)
+        scale = 1.0 / prior.lam
+    else:
+        scale = prior.r / (prior.q + 1.0)
+
+    def integrand(tau2: float) -> float:
+        return math.exp(log_f(tau2) + _tau2_logpdf(tau2, prior))
+
+    # Anchor the substitution at the order of magnitude of the prior mass,
+    # which the adaptive subdivision cannot discover on its own.
+    return integrate_semiinf(integrand, quad, scale=scale).log()
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +184,8 @@ def hier_evidence(pair: StudyPair, tau2: float) -> float:
 @lru_cache(maxsize=512)
 def _tau2_posterior_norm(
     pair: StudyPair, prior: GFParams | InvGammaParams, quad: QuadratureSpec
-) -> tuple[float, float]:
-    def integrand(tau2: float) -> float:
-        return math.exp(hier_evidence(pair, tau2) + _tau2_logpdf(tau2, prior))
-
-    value, err = integrate_semiinf(integrand, quad, scale=_tau2_scale(prior))
-    if value <= 0.0:
-        return -math.inf, err
-    return math.log(value), err / value
+) -> IntegralResult:
+    return _tau2_mixture(lambda tau2: hier_evidence(pair, tau2), prior, quad)
 
 
 def hier_marginal_posterior_tau2(
@@ -192,7 +197,7 @@ def hier_marginal_posterior_tau2(
     """Marginal posterior log-density of the heterogeneity variance."""
     if not isinstance(prior, _CONTINUOUS):
         raise DomainError("tau2 posterior requires a continuous prior")
-    log_norm, _ = _tau2_posterior_norm(pair, prior, quad)
+    log_norm = _tau2_posterior_norm(pair, prior, quad).value
     return hier_evidence(pair, tau2) + _tau2_logpdf(tau2, prior) - log_norm
 
 
@@ -211,20 +216,15 @@ def hier_marginal_posterior_theta_r(
     if not isinstance(prior, _CONTINUOUS):
         cond = hier_posterior_theta_r(pair, prior)
         return normal_logpdf(theta, cond.mean, cond.variance)
-    log_norm, _ = _tau2_posterior_norm(pair, prior, quad)
+    log_norm = _tau2_posterior_norm(pair, prior, quad).value
 
-    def integrand(tau2: float) -> float:
+    def log_f(tau2: float) -> float:
         cond = hier_posterior_theta_r(pair, tau2)
-        return math.exp(
-            normal_logpdf(theta, cond.mean, cond.variance)
-            + hier_evidence(pair, tau2)
-            + _tau2_logpdf(tau2, prior)
-        )
+        return normal_logpdf(theta, cond.mean, cond.variance) + hier_evidence(pair, tau2)
 
-    value, _ = integrate_semiinf(integrand, quad, scale=_tau2_scale(prior))
-    if value <= 0.0:
-        return -math.inf
-    return math.log(value) - log_norm
+    log_mix = _tau2_mixture(log_f, prior, quad).value
+    # A vanishing mixture stays -inf even where the normalizer vanishes too.
+    return log_mix - log_norm if log_mix > -math.inf else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +236,23 @@ def hier_marginal_posterior_theta_r(
 class OverallEffectPrior:
     """Prior for the overall effect, possibly conditional on tau2.
 
-    Either a point mass at ``mean`` or a normal with variance
-    ``variance`` (+ tau2 when ``add_tau2`` is set, the form taken by the
-    posterior of the overall effect given the original data under a flat
-    initial prior).
+    A normal at ``mean`` with variance ``variance`` (+ tau2 when
+    ``add_tau2`` is set, the form taken by the posterior of the overall
+    effect given the original data under a flat initial prior). Variance
+    zero without ``add_tau2`` is a point mass at ``mean``.
     """
 
     mean: float
     variance: float = 0.0
     add_tau2: bool = False
-    point: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise DomainError("overall effect prior mean must be finite")
-        if self.point:
-            return
         if self.variance < 0 or not math.isfinite(self.variance):
             raise DomainError("overall effect prior variance must be finite and >= 0")
-        if self.variance == 0.0 and not self.add_tau2:
-            raise DomainError(
-                "overall effect prior is improper/degenerate; use point=True "
-                "for a point mass"
-            )
 
     def marginal_variance(self, tau2: float) -> float:
-        if self.point:
-            return 0.0
         return self.variance + (tau2 if self.add_tau2 else 0.0)
 
 
@@ -281,7 +271,7 @@ class HierarchicalHypothesis:
 
 def _hier_marginal_likelihood(
     pair: StudyPair, hyp: HierarchicalHypothesis, quad: QuadratureSpec
-) -> tuple[float, float]:
+) -> IntegralResult:
     """Log marginal likelihood of the replication estimate and its
     log-scale quadrature error."""
     rep = pair.replication
@@ -292,15 +282,8 @@ def _hier_marginal_likelihood(
 
     het = hyp.heterogeneity
     if not isinstance(het, _CONTINUOUS):
-        return log_cond(het), 0.0
-
-    def integrand(tau2: float) -> float:
-        return math.exp(log_cond(tau2) + _tau2_logpdf(tau2, het))
-
-    value, err = integrate_semiinf(integrand, quad, scale=_tau2_scale(het))
-    if value <= 0.0:
-        return -math.inf, err
-    return math.log(value), err / value
+        return IntegralResult(log_cond(het), 0.0)
+    return _tau2_mixture(log_cond, het, quad)
 
 
 def hier_bayes_factor(
@@ -329,7 +312,7 @@ def effect_test_hypotheses(
     the bridge-matched generalized F prior on tau2.
     """
     null = HierarchicalHypothesis(
-        effect=OverallEffectPrior(mean=0.0, point=True),
+        effect=OverallEffectPrior(mean=0.0),
         heterogeneity=0.0,
         label="theta* = 0, tau2 = 0",
     )

@@ -21,7 +21,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import minimize_scalar
 
 from .exceptions import DomainError, GridStateError
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate_unit
+from .quadrature import DEFAULT_QUAD, IntegralResult, QuadratureSpec, integrate_unit
 from .special import LOG_2PI, beta_logpdf, log_beta, log_kummer_m, normal_logpdf
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "NormalParams",
     "power_prior_logdensity",
     "joint_posterior_logdensity",
-    "evidence",
     "evidence_and_error",
     "marginal_posterior_alpha",
     "marginal_posterior_theta",
@@ -103,60 +102,38 @@ class NormalParams(NamedTuple):
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Tabulated log-density values over a 1-D or 2-D lattice.
+    """Tabulated log-density values over a 1-D or 2-D lattice, normalized
+    on construction so the trapezoid mass equals one.
 
     ``axis1`` (and ``axis2``, when present) must be strictly increasing.
-    A grid marked ``normalized`` integrates to one under the trapezoid
-    rule, within 1e-6.
     """
 
     axis1: np.ndarray
     logdens: np.ndarray
     axis2: np.ndarray | None = None
-    normalized: bool = False
 
     def __post_init__(self):
         axis1 = np.asarray(self.axis1, dtype=float)
         logdens = np.asarray(self.logdens, dtype=float)
         axis2 = None if self.axis2 is None else np.asarray(self.axis2, dtype=float)
-        object.__setattr__(self, "axis1", axis1)
-        object.__setattr__(self, "logdens", logdens)
-        object.__setattr__(self, "axis2", axis2)
         if axis1.ndim != 1 or axis1.size < 2 or np.any(np.diff(axis1) <= 0):
             raise DomainError("axis1 must be a strictly increasing 1-D lattice")
+        dens = np.exp(logdens)
         if axis2 is None:
             if logdens.shape != axis1.shape:
                 raise DomainError("1-D grid log-density shape must match axis1")
+            total = float(np.trapezoid(dens, axis1))
         else:
             if axis2.ndim != 1 or axis2.size < 2 or np.any(np.diff(axis2) <= 0):
                 raise DomainError("axis2 must be a strictly increasing 1-D lattice")
             if logdens.shape != (axis1.size, axis2.size):
                 raise DomainError("2-D grid log-density must be (len(axis1), len(axis2))")
-        if self.normalized:
-            total = self._trapezoid_mass()
-            if not (abs(total - 1.0) <= 1e-6):
-                raise GridStateError(
-                    f"grid marked normalized but trapezoid mass is {total!r}"
-                )
-
-    def _trapezoid_mass(self) -> float:
-        dens = np.exp(self.logdens)
-        if self.axis2 is None:
-            return float(np.trapezoid(dens, self.axis1))
-        inner = np.trapezoid(dens, self.axis2, axis=1)
-        return float(np.trapezoid(inner, self.axis1))
-
-    def normalize(self) -> "DensityGrid":
-        """Return a copy rescaled so the trapezoid mass equals one."""
-        total = self._trapezoid_mass()
+            total = float(np.trapezoid(np.trapezoid(dens, axis2, axis=1), axis1))
         if not (total > 0 and math.isfinite(total)):
             raise GridStateError(f"cannot normalize grid with trapezoid mass {total!r}")
-        return DensityGrid(
-            axis1=self.axis1,
-            logdens=self.logdens - math.log(total),
-            axis2=self.axis2,
-            normalized=True,
-        )
+        object.__setattr__(self, "axis1", axis1)
+        object.__setattr__(self, "logdens", logdens - math.log(total))
+        object.__setattr__(self, "axis2", axis2)
 
 
 @dataclass(frozen=True)
@@ -193,35 +170,22 @@ def _check_alpha(alpha: float) -> None:
 
 
 @lru_cache(maxsize=512)
-def _cached_evidence(pair: StudyPair, prior: BetaParams, quad: QuadratureSpec) -> tuple[float, float]:
+def evidence_and_error(
+    pair: StudyPair, prior: BetaParams, quad: QuadratureSpec = DEFAULT_QUAD
+) -> IntegralResult:
+    """Log marginal likelihood of the replication estimate, with the
+    quadrature error estimate expressed on the log scale.
+
+    Mixes the predictive normal density over the beta prior on alpha:
+    log int_0^1 N(rep | orig, var_r + var_o/alpha) Be(alpha | x, y) dalpha.
+    """
     rep, orig = pair.replication, pair.original
 
     def integrand(a: float) -> float:
         logp = normal_logpdf(rep.estimate, orig.estimate, rep.variance + orig.variance / a)
         return math.exp(logp + beta_logpdf(a, prior.x, prior.y))
 
-    value, err = integrate_unit(integrand, quad)
-    if value <= 0.0:
-        return -math.inf, err
-    # Relative error of the integral bounds the absolute error of its log.
-    return math.log(value), err / value
-
-
-def evidence_and_error(
-    pair: StudyPair, prior: BetaParams, quad: QuadratureSpec = DEFAULT_QUAD
-) -> tuple[float, float]:
-    """Log marginal likelihood of the replication estimate, with the
-    quadrature error estimate expressed on the log scale."""
-    return _cached_evidence(pair, prior, quad)
-
-
-def evidence(pair: StudyPair, prior: BetaParams, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Log marginal likelihood of the replication estimate.
-
-    Mixes the predictive normal density over the beta prior on alpha:
-    log int_0^1 N(rep | orig, var_r + var_o/alpha) Be(alpha | x, y) dalpha.
-    """
-    return _cached_evidence(pair, prior, quad)[0]
+    return integrate_unit(integrand, quad).log()
 
 
 def joint_posterior_logdensity(
@@ -233,7 +197,7 @@ def joint_posterior_logdensity(
 ):
     """Joint posterior log-density of (theta, alpha) given both studies."""
     _check_alpha(alpha)
-    log_z, _ = _cached_evidence(pair, prior, quad)
+    log_z = evidence_and_error(pair, prior, quad).value
     rep, orig = pair.replication, pair.original
     return (
         normal_logpdf(rep.estimate, theta, rep.variance)
@@ -253,7 +217,7 @@ def marginal_posterior_alpha(
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr <= 0.0) or np.any(alpha_arr > 1.0):
         raise DomainError("power parameter values must lie in (0, 1]")
-    log_z, _ = _cached_evidence(pair, prior, quad)
+    log_z = evidence_and_error(pair, prior, quad).value
     rep, orig = pair.replication, pair.original
     out = (
         normal_logpdf(rep.estimate, orig.estimate, rep.variance + orig.variance / alpha_arr)
@@ -276,7 +240,7 @@ def marginal_posterior_theta(
     -(orig - theta)^2 / (2 var_o), which this routine evaluates in log
     space throughout.
     """
-    log_z, _ = _cached_evidence(pair, prior, quad)
+    log_z = evidence_and_error(pair, prior, quad).value
     rep, orig = pair.replication, pair.original
     z = -((orig.estimate - theta) ** 2) / (2.0 * orig.variance)
     return (
@@ -360,7 +324,7 @@ def theta_grid(
     """Normalized grid of the effect-size marginal posterior."""
     thetas = theta_lattice(pair, num=num, span=span, theta_range=theta_range)
     logdens = np.array([marginal_posterior_theta(t, pair, prior, quad) for t in thetas])
-    return DensityGrid(axis1=thetas, logdens=logdens).normalize()
+    return DensityGrid(axis1=thetas, logdens=logdens)
 
 
 def alpha_grid(
@@ -374,7 +338,7 @@ def alpha_grid(
     """Normalized grid of the power-parameter marginal posterior."""
     alphas = np.linspace(alpha_min, 1.0, num)
     logdens = marginal_posterior_alpha(alphas, pair, prior, quad)
-    return DensityGrid(axis1=alphas, logdens=logdens).normalize()
+    return DensityGrid(axis1=alphas, logdens=logdens)
 
 
 def joint_grid(
@@ -392,14 +356,14 @@ def joint_grid(
     thetas = theta_lattice(pair, num=num_theta, span=span, theta_range=theta_range)
     alphas = np.linspace(alpha_min, 1.0, num_alpha)
     rep, orig = pair.replication, pair.original
-    log_z, _ = _cached_evidence(pair, prior, quad)
+    log_z = evidence_and_error(pair, prior, quad).value
     logdens = (
         normal_logpdf(rep.estimate, thetas, rep.variance)[:, None]
         + normal_logpdf(thetas[:, None], orig.estimate, orig.variance / alphas[None, :])
         + beta_logpdf(alphas, prior.x, prior.y)[None, :]
         - log_z
     )
-    return DensityGrid(axis1=thetas, logdens=logdens, axis2=alphas).normalize()
+    return DensityGrid(axis1=thetas, logdens=logdens, axis2=alphas)
 
 
 def alpha_mode(
@@ -446,8 +410,6 @@ def summarize(
     """
     if grid.axis2 is not None:
         raise GridStateError("summarize requires a 1-D grid")
-    if not grid.normalized:
-        raise GridStateError("summarize requires a normalized grid")
     if not (0.0 < level < 1.0):
         raise DomainError("interval level must lie in (0, 1)")
 

@@ -44,6 +44,15 @@ class IntegralResult(NamedTuple):
     value: float
     err_estimate: float
 
+    def log(self) -> "IntegralResult":
+        """The log of a positive integral, with the relative error of the
+        integral as the bound on the absolute error of its log. A value
+        that is not positive gives log 0 = -inf, exact only when its error
+        estimate is zero."""
+        if self.value <= 0.0:
+            return IntegralResult(-math.inf, 0.0 if self.err_estimate == 0.0 else math.inf)
+        return IntegralResult(math.log(self.value), self.err_estimate / self.value)
+
 
 def integrate_unit(f: Callable[[float], float], spec: QuadratureSpec = DEFAULT_QUAD) -> IntegralResult:
     """Integrate ``f`` over [0, 1] to the tolerances in ``spec``.

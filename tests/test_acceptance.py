@@ -177,7 +177,7 @@ class TestCriterion3ClosedFormVsQuadrature:
         return base + math.log(val) - log_z
 
     def test_pointwise_agreement(self):
-        from pprep import evidence
+        from pprep.inference import evidence_and_error
 
         start = time.monotonic()
         rng = rng_for(101)
@@ -185,7 +185,7 @@ class TestCriterion3ClosedFormVsQuadrature:
         cases += [random_pair(rng) for _ in range(20)]
         worst = 0.0
         for pair, prior in cases:
-            log_z = evidence(pair, prior)
+            log_z = evidence_and_error(pair, prior).value
             grid = np.linspace(*_theta_range(pair), 401)
             for theta in grid:
                 closed = marginal_posterior_theta(float(theta), pair, prior)

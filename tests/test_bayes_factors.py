@@ -140,9 +140,6 @@ class TestCompatibilityTests:
             bf_dc_beta(labels_pairs[0], 0.8)
         with pytest.raises(DomainError):
             bf_dc_beta(labels_pairs[0], 1.0)
-        with pytest.warns(UserWarning):
-            got = bf_dc_beta(labels_pairs[0], 1.0, allow_uniform=True)
-        assert math.isfinite(got.log_bf)
 
 
 class TestLimits:

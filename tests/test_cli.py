@@ -77,13 +77,13 @@ class TestInputParsing:
 
     def test_smd_needs_exactly_one_of_se_and_n(self):
         with pytest.raises(InputValidationError):
-            StudyRecord("a", "original", "smd", 0.2, se=0.05, sample_size=100).validate()
+            StudyRecord("a", "original", "smd", 0.2, se=0.05, n=100).validate()
         with pytest.raises(InputValidationError):
             StudyRecord("a", "original", "smd", 0.2).validate()
 
     def test_non_smd_needs_se(self):
         with pytest.raises(InputValidationError):
-            StudyRecord("a", "original", "logor", 0.2, sample_size=100).validate()
+            StudyRecord("a", "original", "logor", 0.2, n=100).validate()
         StudyRecord("a", "original", "logor", 0.2, se=0.1).validate()
 
     def test_unknown_config_key_rejected(self):
@@ -104,7 +104,7 @@ class TestInputParsing:
         assert err["error"]["line"] == 2
 
     @pytest.mark.parametrize(
-        "record,config,field",
+        "record,top,field",
         [
             ({"estimate": "abc"}, {}, "estimate"),
             ({"estimate": None}, {}, "estimate"),
@@ -112,19 +112,30 @@ class TestInputParsing:
             ({"se": "0.05"}, {}, "se"),
             ({"se": None, "n": 100.7}, {}, "n"),
             (5, {}, "record"),
-            ({}, {"grid_points": "401"}, "grid_points"),
+            ({}, {"config": {"grid_points": "401"}}, "grid_points"),
+            ({}, {"config": {"design_grid_points": 0}}, "design_grid_points"),
+            ({}, {"config": None}, "config"),
+            ({}, {"config": [1, 2]}, "config"),
+            ({}, {"config": "x"}, "config"),
+            ({}, {"records": 5}, "records"),
+            ({}, {"records": {"a": 1}}, "records"),
+            ({}, {"input": None}, "input"),
+            ({}, {"input": 5}, "input"),
+            ({}, {"input": {"records": None}}, "records"),
         ],
         ids=["string", "null", "boolean", "string-se", "fractional-n", "non-object",
-             "string-config"],
+             "string-config", "small-design-grid", "null-config", "array-config",
+             "string-config-object", "number-records", "object-records", "null-input",
+             "number-input", "null-echoed-records"],
     )
-    def test_strict_types_at_the_boundary(self, tmp_path, capsys, record, config, field):
+    def test_strict_types_at_the_boundary(self, tmp_path, capsys, record, top, field):
         replication = record if not isinstance(record, dict) else {
             "id": "labels-rep", "role": "replication", "effect_type": "smd",
             "estimate": 0.09, "se": 0.05, **record,
         }
         path = tmp_path / "typed.json"
         path.write_text(
-            json.dumps({"records": [LABELS_ORIGINAL, replication], "config": config}),
+            json.dumps({"records": [LABELS_ORIGINAL, replication], "config": {}, **top}),
             encoding="utf-8",
         )
         code = main(["test", "--input", str(path)])

@@ -312,9 +312,9 @@ class TestBayesFactorCorrespondences:
 
     def test_improper_effect_prior_rejected(self):
         with pytest.raises(DomainError):
-            OverallEffectPrior(mean=0.0, variance=0.0)
+            OverallEffectPrior(mean=0.0, variance=-1.0)
         with pytest.raises(DomainError):
-            OverallEffectPrior(mean=math.inf, point=True)
+            OverallEffectPrior(mean=math.inf)
 
     def test_orientation_labels_carried(self, labels_pairs, uniform_prior):
         pair = labels_pairs[0]
@@ -338,4 +338,4 @@ class TestHeterogeneityPriorType:
         with pytest.raises(DomainError):
             hier_marginal_posterior_theta_r(0.2, labels_pairs[0], -0.1)
         with pytest.raises(DomainError):
-            HierarchicalHypothesis(OverallEffectPrior(mean=0.0, point=True), -0.1)
+            HierarchicalHypothesis(OverallEffectPrior(mean=0.0), -0.1)

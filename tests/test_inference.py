@@ -18,7 +18,6 @@ from pprep import (
     alpha_empirical_bayes,
     alpha_grid,
     alpha_mode,
-    evidence,
     joint_grid,
     joint_posterior_logdensity,
     limiting_alpha_posterior_logdensity,
@@ -76,12 +75,13 @@ class TestEvidence:
             return np.where(a > 0, out, 0.0)
 
         oracle = math.log(composite_simpson(integrand, 0.0, 1.0, 1_000_001))
-        assert evidence(labels_pairs[0], uniform_prior) == pytest.approx(oracle, abs=1e-9)
+        got = evidence_and_error(labels_pairs[0], uniform_prior).value
+        assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_diffuse_original_kills_the_marginal(self, uniform_prior):
         rep = Study(0.09, 0.05)
         values = [
-            evidence(StudyPair(Study(0.21, s), rep), uniform_prior)
+            evidence_and_error(StudyPair(Study(0.21, s), rep), uniform_prior).value
             for s in (1e2, 1e4, 1e6)
         ]
         assert values[0] > values[1] > values[2]
@@ -90,12 +90,12 @@ class TestEvidence:
     def test_point_mass_prior_approaches_full_pooling(self, labels_pairs):
         # x -> infinity pushes the beta prior to a point mass at alpha = 1.
         pair = labels_pairs[0]
-        ev = evidence(pair, BetaParams(1e4, 1.0))
+        ev = evidence_and_error(pair, BetaParams(1e4, 1.0)).value
         pooled = math.log(normal_pdf(0.09, 0.21, 0.0025 + 0.0025))
         assert abs(math.exp(ev - pooled) - 1.0) < 1e-3
 
     def test_error_estimate_surfaced(self, labels_pairs, uniform_prior):
-        _, err = evidence_and_error(labels_pairs[0], uniform_prior)
+        err = evidence_and_error(labels_pairs[0], uniform_prior).err_estimate
         assert 0.0 <= err < 1e-8
 
 
@@ -178,7 +178,7 @@ class TestMarginalTheta:
         pair = labels_pairs[0]
         theta = pair.original.estimate
         got = marginal_posterior_theta(theta, pair, uniform_prior)
-        log_z = evidence(pair, uniform_prior)
+        log_z = evidence_and_error(pair, uniform_prior).value
         # B(3/2, 1) = 2/3 and B(1, 1) = 1, so the beta ratio is 2/3.
         expected = (
             math.log(normal_pdf(pair.replication.estimate, theta, pair.replication.variance))
@@ -263,7 +263,7 @@ class TestGridsAndSummaries:
     def test_standard_normal_grid_summary(self):
         x = np.linspace(-8.0, 8.0, 4001)
         logdens = -0.5 * (math.log(2 * math.pi) + x**2)
-        grid = DensityGrid(axis1=x, logdens=logdens).normalize()
+        grid = DensityGrid(axis1=x, logdens=logdens)
         s = summarize(grid, level=0.95)
         assert s.mean == pytest.approx(0.0, abs=1e-9)
         assert s.sd == pytest.approx(1.0, abs=1e-3)
@@ -274,7 +274,7 @@ class TestGridsAndSummaries:
     def test_near_delta_grid_collapses(self):
         x = np.linspace(-1.0, 1.0, 2001)
         logdens = -0.5 * (x / 1e-3) ** 2
-        grid = DensityGrid(axis1=x, logdens=logdens).normalize()
+        grid = DensityGrid(axis1=x, logdens=logdens)
         s = summarize(grid, level=0.9)
         assert abs(s.ci_upper - s.ci_lower) < 5e-3
         assert s.mode == pytest.approx(0.0, abs=1e-4)
@@ -297,23 +297,22 @@ class TestGridsAndSummaries:
         for pair in labels_pairs:
             tg = theta_grid(pair, uniform_prior, num=201)
             ag = alpha_grid(pair, uniform_prior, num=201)
-            assert tg.normalized and ag.normalized
+            for g in (tg, ag):
+                assert np.trapezoid(np.exp(g.logdens), g.axis1) == pytest.approx(1.0, abs=1e-12)
         jg = joint_grid(labels_pairs[0], uniform_prior, num_theta=101, num_alpha=101)
-        assert jg.normalized
+        inner = np.trapezoid(np.exp(jg.logdens), jg.axis2, axis=1)
+        assert np.trapezoid(inner, jg.axis1) == pytest.approx(1.0, abs=1e-12)
 
     def test_summarize_requires_normalized_1d(self, labels_pairs, uniform_prior):
-        x = np.linspace(0.0, 1.0, 11)
-        raw = DensityGrid(axis1=x, logdens=np.zeros(11))
-        with pytest.raises(GridStateError):
-            summarize(raw)
         jg = joint_grid(labels_pairs[0], uniform_prior, num_theta=51, num_alpha=51)
         with pytest.raises(GridStateError):
             summarize(jg)
 
     def test_grid_invariant_enforced(self):
         x = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(GridStateError):
-            DensityGrid(axis1=x, logdens=np.ones(11), normalized=True)
+        for logdens in (np.full(11, -np.inf), np.full(11, np.inf)):
+            with pytest.raises(GridStateError):  # zero or infinite mass
+                DensityGrid(axis1=x, logdens=logdens)
         with pytest.raises(DomainError):
             DensityGrid(axis1=x[::-1].copy(), logdens=np.zeros(11))
 

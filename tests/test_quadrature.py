@@ -9,6 +9,7 @@ import pytest
 from scipy.special import betaln
 
 from pprep import ConvergenceError, DomainError, QuadratureSpec, integrate_semiinf, integrate_unit
+from pprep.quadrature import IntegralResult
 
 from conftest import composite_simpson, normal_pdf, rng_for, simpson_semiinf
 
@@ -31,6 +32,17 @@ class TestSpecValidation:
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
+
+
+class TestLogOfIntegral:
+    def test_positive_value(self):
+        log_value, log_err = IntegralResult(2.0, 1e-9).log()
+        assert log_value == math.log(2.0)
+        assert log_err == 5e-10
+
+    @pytest.mark.parametrize("err,log_err", [(0.0, 0.0), (1e-20, math.inf)])
+    def test_zero_value(self, err, log_err):
+        assert IntegralResult(0.0, err).log() == (-math.inf, log_err)
 
 
 class TestUnitInterval:
