@@ -7,10 +7,11 @@ reporting boundary. Everything here is pure and stateless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln, ndtr, xlogy
+from scipy.special import betaln, gammaln, hyp1f1, ndtr, xlogy
 
 from .exceptions import DomainError, UnsupportedDomainError
 from .quadrature import QuadratureSpec, integrate_unit
@@ -31,11 +32,11 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Beyond these the implementation is unvalidated; refuse rather than return
-# a silently inaccurate value.
+# log_kummer_m is checked against mpmath up to these bounds only; refuse
+# rather than return an unchecked value. _KUMMER_QUAD holds the tolerances
+# of its underflow-tail integral.
 _KUMMER_MAX_SHAPE = 100.0
 _KUMMER_MAX_ABS_Z = 1e6
-_KUMMER_SERIES_MAX_Z = 30.0
 _KUMMER_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-290, max_subdivisions=300)
 
 
@@ -94,29 +95,16 @@ def log_beta(z: float, w: float) -> float:
     return float(betaln(z, w))
 
 
-def _kummer_series_positive(a: float, b: float, z: float) -> float:
-    """Power series sum for 0 <= z <= 30; all terms positive, no cancellation."""
-    term = 1.0
-    total = 1.0
-    for n in range(1000):
-        term *= (a + n) * z / ((b + n) * (n + 1))
-        total += term
-        if term <= total * 1e-17:
-            return total
-    raise UnsupportedDomainError(
-        f"confluent hypergeometric series did not converge for a={a}, b={b}, z={z}"
-    )
-
-
 def log_kummer_m(a: float, b: float, z: float) -> float:
     """log M(a, b, z) for the confluent hypergeometric function M.
 
-    Supported domain: b > a > 0 (required by the integral representation)
-    with a, b <= 100. M is strictly positive there, so the logarithm is
-    always defined. Negative z is first routed through the reflection
-    identity M(a, b, z) = exp(z) M(b - a, b, -z); the power series is used
-    for moderate arguments and adaptive quadrature of the integral
-    representation beyond that.
+    Supported domain: b > a > 0 with a, b <= 100 and |z| <= 1e6. M is
+    strictly positive there, so the logarithm is always defined. Positive
+    z goes through Kummer's transformation M(a, b, z) = exp(z) M(b - a, b,
+    -z), so ``scipy.special.hyp1f1`` only sees z <= 0, where M lies in
+    [exp(z), 1] and cannot overflow. Where M is below the smallest normal
+    double (only for z < -708), the integral representation is integrated
+    instead, so the log keeps its digits.
     """
     if not (b > a > 0):
         raise UnsupportedDomainError(
@@ -130,48 +118,27 @@ def log_kummer_m(a: float, b: float, z: float) -> float:
         raise UnsupportedDomainError(
             f"kummer_m arguments |z| > {_KUMMER_MAX_ABS_Z} are unsupported, got z={z}"
         )
-    if z < 0.0:
+    if z > 0.0:
         return z + log_kummer_m(b - a, b, -z)
-    if z <= _KUMMER_SERIES_MAX_Z:
-        return math.log(_kummer_series_positive(a, b, z))
+    value = float(hyp1f1(a, b, z))
+    if value >= sys.float_info.min:
+        return math.log(value)
 
-    # Integral representation with the exploding exp(z) factor pulled out
-    # and the peak at t = 1 mapped to the origin through w = z(1 - t):
-    # M(a, b, z) = exp(z) z^(-c) int_0^z exp(-w) (1 - w/z)^(a-1) w^(c-1) dw
-    #              / B(a, c)
-    # Truncating the Gamma-like tail at the cutoff below loses under 1e-16
-    # relative mass. Integrable singularities can sit at both ends (w = 0
-    # when c < 1, w = z when a < 1 and the cutoff reaches z), so the range
-    # is split and each half mapped with its singular point at an endpoint.
-    c = b - a
-    cutoff = min(z, c + 40.0 * math.sqrt(c) + 60.0)
-    mid = 0.5 * cutoff
-    log_z = math.log(z)
+    # Underflow tail, x = -z > 708: with the exp(-x) factor pulled out,
+    # M(a, b, -x) = x^(-a) int_0^x exp(-w) (1 - w/x)^(b-a-1) w^(a-1) dw
+    #               / B(b - a, a).
+    # Truncating the Gamma(a)-like integrand at the cutoff loses under
+    # 1e-16 relative mass; the cutoff (at most 560) stays below x, so the
+    # (1 - w/x) factor is smooth on the one panel.
+    x = -z
+    cutoff = a + 40.0 * math.sqrt(a) + 60.0
 
-    # Each panel keeps the distance to its singular endpoint exact; forming
-    # 1 - w/z by subtraction would destroy the w -> z singularity.
-    def left_integrand(u: float) -> float:
-        w = mid * u
-        return math.exp(
-            -w + (a - 1.0) * (math.log(z - w) - log_z) + (c - 1.0) * math.log(w)
-        )
+    def integrand(u: float) -> float:
+        w = cutoff * u
+        return math.exp(-w + (b - a - 1.0) * math.log1p(-w / x) + (a - 1.0) * math.log(w))
 
-    gap = z - cutoff
-
-    def right_integrand(u: float) -> float:
-        dv = (cutoff - mid) * u
-        w = cutoff - dv
-        v = gap + dv
-        if v <= 0.0:
-            return 0.0
-        return math.exp(
-            -w + (a - 1.0) * (math.log(v) - log_z) + (c - 1.0) * math.log(w)
-        )
-
-    left, _ = integrate_unit(left_integrand, _KUMMER_QUAD)
-    right, _ = integrate_unit(right_integrand, _KUMMER_QUAD)
-    value = mid * left + (cutoff - mid) * right
-    return z + math.log(value) - c * math.log(z) - float(betaln(a, c))
+    integral, _ = integrate_unit(integrand, _KUMMER_QUAD)
+    return math.log(cutoff * integral) - a * math.log(x) - float(betaln(b - a, a))
 
 
 def normal_logpdf(x, mean, variance):

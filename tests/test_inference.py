@@ -170,6 +170,39 @@ class TestMarginalTheta:
             )
             assert math.exp(closed) == pytest.approx(val, rel=1e-8)
 
+    @pytest.mark.parametrize("x,theta", [(1.0, 0.9), (2.0, 0.85), (5.0, -0.9)])
+    def test_prior_piled_at_one_against_alpha_quadrature(self, x, theta):
+        # Be(x, 0.01) puts the Kummer shapes b - a = 0.01 close together.
+        # QUADPACK's algebraic weight carries the alpha^(x - 1)
+        # (1 - alpha)^(y - 1) factor of the beta prior exactly; 1 / B(x, y)
+        # cancels in the ratio.
+        y = 0.01
+        pair = StudyPair(Study(0.0, 0.1), Study(1.0, 0.1))
+        orig, rep = pair.original, pair.replication
+
+        def beta_weighted(f):
+            # QAWS evaluates the endpoints; both densities vanish at alpha = 0.
+            val, _ = quad(
+                lambda a: f(a) if a > 0.0 else 0.0,
+                0.0,
+                1.0,
+                weight="alg",
+                wvar=(x - 1.0, y - 1.0),
+                epsabs=0.0,
+                epsrel=1e-12,
+            )
+            return val
+
+        evidence = beta_weighted(
+            lambda a: normal_pdf(rep.estimate, orig.estimate, rep.variance + orig.variance / a)
+        )
+        joint = beta_weighted(
+            lambda a: normal_pdf(rep.estimate, theta, rep.variance)
+            * normal_pdf(theta, orig.estimate, orig.variance / a)
+        )
+        got = marginal_posterior_theta(theta, pair, BetaParams(x, y))
+        assert math.exp(got) == pytest.approx(joint / evidence, rel=1e-8)
+
     def test_hypergeometric_term_drops_at_original_estimate(
         self, labels_pairs, uniform_prior
     ):

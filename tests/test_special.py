@@ -98,6 +98,43 @@ class TestKummerM:
             ref = float(mpmath.log(mpmath.hyp1f1(a, b, z)))
             assert got == pytest.approx(ref, abs=5e-11, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [
+            (1.5, 1.51, -40.5),        # b close to a, moderate negative z
+            (99.945, 99.999, 9.07e4),  # b close to a at the shape limit
+            (50.0, 50.000001, -2e4),
+            (0.3, 0.3000001, 7e5),
+            (90.0, 95.0, -5e5),        # M below the smallest normal double
+            (99.5, 99.9, -1e6),
+            (80.0, 100.0, -4e5),       # M subnormal
+            (92.0, 98.0, -1.4e5),      # M the smallest subnormal, 5e-324
+            (5.0, 99.0, 8e5),          # tail reached through the transformation
+            (0.3, 99.0, 9.9e5),
+            (0.05, 0.1, -1e6),
+        ],
+    )
+    def test_edge_points_against_high_precision(self, a, b, z):
+        mpmath.mp.dps = 40
+        ref = float(mpmath.log(mpmath.hyp1f1(a, b, z)))
+        assert log_kummer_m(a, b, z) == pytest.approx(ref, abs=5e-11, rel=1e-10)
+
+    def test_full_domain_against_high_precision(self):
+        # Shapes up to 100 (a third of them with b - a below 0.1), both
+        # signs of z, |z| log-uniform up to the 1e6 cap.
+        rng = rng_for(13)
+        mpmath.mp.dps = 40
+        for i in range(300):
+            a = rng.uniform(0.05, 99.9)
+            if i % 3 == 0:
+                b = a + 10.0 ** rng.uniform(-6.0, -1.0)
+            else:
+                b = a + max(rng.uniform(0.0, 1.0) * (100.0 - a), 1e-6)
+            z = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 6.0)
+            got = log_kummer_m(a, b, z)
+            ref = float(mpmath.log(mpmath.hyp1f1(a, b, z)))
+            assert got == pytest.approx(ref, abs=5e-11, rel=1e-10), (a, b, z)
+
     def test_reflection_identity(self):
         rng = rng_for(12)
         for _ in range(500):
