@@ -69,6 +69,10 @@ from .special import gbeta_logpdf, gf_logpdf
 
 EFFECT_TYPES = ("smd", "logor", "other")
 ROLES = ("original", "replication")
+# Upper bound on grid_points and design_grid_points. The joint grid holds
+# grid_points^2 cells (32 MB per array at the bound) and bridge runs one
+# semi-infinite quadrature per grid point.
+_MAX_GRID_POINTS = 2001
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +175,11 @@ class AnalysisConfig:
             raise InputValidationError(
                 "design_grid_points must be at least 1", field="design_grid_points"
             )
+        for name in ("grid_points", "design_grid_points"):
+            if getattr(self, name) > _MAX_GRID_POINTS:
+                raise InputValidationError(
+                    f"{name} must be at most {_MAX_GRID_POINTS}", field=name
+                )
         if self.output_format not in ("json", "csv"):
             raise InputValidationError(
                 "output_format must be json or csv", field="output_format"

@@ -100,13 +100,20 @@ def hier_posterior_theta_r(pair: StudyPair, tau2: float) -> NormalParams:
     """
     if not (tau2 >= 0):
         raise DomainError("heterogeneity variance must be nonnegative")
-    rep = pair.replication
-    orig = pair.original
-    w_rep = 1.0 / rep.variance
-    w_orig = 1.0 / (2.0 * tau2 + orig.variance)
+    rep, orig = pair.replication, pair.original
+    return NormalParams(
+        *_theta_r_moments(tau2, rep.estimate, 1.0 / rep.variance, orig.estimate, orig.variance)
+    )
+
+
+def _theta_r_moments(
+    tau2: float, est_r: float, w_rep: float, est_o: float, var_o: float
+) -> tuple[float, float]:
+    """Mean and variance of :func:`hier_posterior_theta_r` from the pair's
+    plain floats, unchecked, for integrands that hold them per integral."""
+    w_orig = 1.0 / (2.0 * tau2 + var_o)
     variance = 1.0 / (w_rep + w_orig)
-    mean = (rep.estimate * w_rep + orig.estimate * w_orig) * variance
-    return NormalParams(mean, variance)
+    return (est_r * w_rep + est_o * w_orig) * variance, variance
 
 
 def alpha_to_tau2(alpha: float, sigma2_o: float) -> float:
@@ -175,17 +182,22 @@ def hier_evidence(pair: StudyPair, tau2: float) -> float:
     of these values are meaningful."""
     if not (tau2 >= 0):
         raise DomainError("tau2 must be nonnegative")
-    rep, orig = pair.replication, pair.original
-    return normal_logpdf(
-        rep.estimate, orig.estimate, orig.variance + rep.variance + 2.0 * tau2
-    )
+    return _evidence_fn(pair)(tau2)
+
+
+def _evidence_fn(pair: StudyPair) -> Callable[[float], float]:
+    """``hier_evidence(pair, .)`` with the pair's floats read once and no
+    check of tau2, for integrands, which only see tau2 >= 0."""
+    est_r, est_o = pair.replication.estimate, pair.original.estimate
+    var_sum = pair.original.variance + pair.replication.variance
+    return lambda tau2: normal_logpdf(est_r, est_o, var_sum + 2.0 * tau2)
 
 
 @lru_cache(maxsize=512)
 def _tau2_posterior_norm(
     pair: StudyPair, prior: GFParams | InvGammaParams, quad: QuadratureSpec
 ) -> IntegralResult:
-    return _tau2_mixture(lambda tau2: hier_evidence(pair, tau2), prior, quad)
+    return _tau2_mixture(_evidence_fn(pair), prior, quad)
 
 
 def hier_marginal_posterior_tau2(
@@ -217,10 +229,14 @@ def hier_marginal_posterior_theta_r(
         cond = hier_posterior_theta_r(pair, prior)
         return normal_logpdf(theta, cond.mean, cond.variance)
     log_norm = _tau2_posterior_norm(pair, prior, quad).value
+    rep, orig = pair.replication, pair.original
+    est_r, w_rep = rep.estimate, 1.0 / rep.variance
+    est_o, var_o = orig.estimate, orig.variance
+    log_evidence = _evidence_fn(pair)
 
     def log_f(tau2: float) -> float:
-        cond = hier_posterior_theta_r(pair, tau2)
-        return normal_logpdf(theta, cond.mean, cond.variance) + hier_evidence(pair, tau2)
+        mean, variance = _theta_r_moments(tau2, est_r, w_rep, est_o, var_o)
+        return normal_logpdf(theta, mean, variance) + log_evidence(tau2)
 
     log_mix = _tau2_mixture(log_f, prior, quad).value
     # A vanishing mixture stays -inf even where the normalizer vanishes too.
@@ -274,11 +290,11 @@ def _hier_marginal_likelihood(
 ) -> IntegralResult:
     """Log marginal likelihood of the replication estimate and its
     log-scale quadrature error."""
-    rep = pair.replication
+    est_r, var_r = pair.replication.estimate, pair.replication.variance
+    effect = hyp.effect
 
     def log_cond(tau2: float) -> float:
-        var = rep.variance + tau2 + hyp.effect.marginal_variance(tau2)
-        return normal_logpdf(rep.estimate, hyp.effect.mean, var)
+        return normal_logpdf(est_r, effect.mean, var_r + tau2 + effect.marginal_variance(tau2))
 
     het = hyp.heterogeneity
     if not isinstance(het, _CONTINUOUS):

@@ -179,11 +179,13 @@ def evidence_and_error(
     Mixes the predictive normal density over the beta prior on alpha:
     log int_0^1 N(rep | orig, var_r + var_o/alpha) Be(alpha | x, y) dalpha.
     """
-    rep, orig = pair.replication, pair.original
+    est_r, var_r = pair.replication.estimate, pair.replication.variance
+    est_o, var_o = pair.original.estimate, pair.original.variance
+    x, y = prior.x, prior.y
 
     def integrand(a: float) -> float:
-        logp = normal_logpdf(rep.estimate, orig.estimate, rep.variance + orig.variance / a)
-        return math.exp(logp + beta_logpdf(a, prior.x, prior.y))
+        logp = normal_logpdf(est_r, est_o, var_r + var_o / a)
+        return math.exp(logp + beta_logpdf(a, x, y))
 
     return integrate_unit(integrand, quad).log()
 

@@ -2,6 +2,14 @@
 
 All densities are evaluated in log space; exponentiation is left to the
 reporting boundary. Everything here is pure and stateless.
+
+The log-densities take one of two paths, chosen by the argument type. A
+float argument (a Python float or a numpy float64 scalar), the form a
+quadrature integrand passes at every node, is evaluated with ``math``
+and gives a float. Any other argument (an array, a 0-d array, an int)
+goes through numpy and broadcasts. Both paths apply the same validation,
+raise the same errors and return -inf outside the support, and agree to
+the last bit or two.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betaln, gammaln, hyp1f1, ndtr, xlogy
@@ -141,8 +150,32 @@ def log_kummer_m(a: float, b: float, z: float) -> float:
     return math.log(cutoff * integral) - a * math.log(x) - float(betaln(b - a, a))
 
 
+@lru_cache(maxsize=256)
+def _betaln(a: float, b: float) -> float:
+    """``scipy.special.betaln`` of a density's shape pair, held across the
+    nodes of an integral (a scalar ufunc call costs as much as the rest of
+    a float log-density)."""
+    return float(betaln(a, b))
+
+
+def _xlogy(c: float, y: float) -> float:
+    """``scipy.special.xlogy`` for a float y >= 0: c log(y), and 0 at c = 0."""
+    if c == 0.0:
+        return 0.0
+    return c * math.log(y) if y > 0.0 else c * -math.inf
+
+
 def normal_logpdf(x, mean, variance):
-    """Normal log-density with the given mean and variance (broadcasts)."""
+    """Normal log-density with the given mean and variance.
+
+    Float arguments give a float through ``math``; otherwise the arguments
+    broadcast through numpy.
+    """
+    if isinstance(x, float) and isinstance(mean, float) and isinstance(variance, float):
+        if variance <= 0:
+            raise DomainError("normal_logpdf requires positive variance")
+        d = x - mean
+        return float(-0.5 * (LOG_2PI + math.log(variance) + d * d / variance))
     variance = np.asarray(variance, dtype=float)
     if np.any(variance <= 0):
         raise DomainError("normal_logpdf requires positive variance")
@@ -152,9 +185,16 @@ def normal_logpdf(x, mean, variance):
 
 
 def beta_logpdf(x, a: float, b: float):
-    """Beta(a, b) log-density; -inf outside the unit interval (broadcasts)."""
+    """Beta(a, b) log-density; -inf outside the unit interval.
+
+    A float ``x`` gives a float through ``math``; an array broadcasts.
+    """
     if not (a > 0 and b > 0):
         raise DomainError("beta shape parameters must be positive")
+    if isinstance(x, float):
+        if not 0.0 <= x <= 1.0:
+            return -math.inf
+        return _xlogy(a - 1.0, x) + _xlogy(b - 1.0, 1.0 - x) - _betaln(a, b)
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
     xx = np.where(inside, x, 0.5)
@@ -210,8 +250,18 @@ def gbeta_logpdf(x, p: GBetaParams):
 def gf_logpdf(x, p: GFParams):
     """Generalized F log-density on [0, inf).
 
-    Density: lam^a x^(a-1) / [B(a, b) (1 + lam x)^(a+b)].
+    Density: lam^a x^(a-1) / [B(a, b) (1 + lam x)^(a+b)]. A float ``x``
+    gives a float through ``math``; an array broadcasts.
     """
+    if isinstance(x, float):
+        if not x >= 0.0:
+            return -math.inf
+        return (
+            p.a * math.log(p.lam)
+            + _xlogy(p.a - 1.0, x)
+            - _betaln(p.a, p.b)
+            - (p.a + p.b) * math.log1p(p.lam * x)
+        )
     x = np.asarray(x, dtype=float)
     inside = x >= 0.0
     xx = np.where(inside, x, 1.0)
@@ -227,7 +277,16 @@ def gf_logpdf(x, p: GFParams):
 
 
 def invgamma_logpdf(x, p: InvGammaParams):
-    """Inverse gamma log-density with shape q and scale r; requires x > 0."""
+    """Inverse gamma log-density with shape q and scale r; requires x > 0.
+
+    A float ``x`` gives a float through ``math``; an array broadcasts.
+    """
+    if isinstance(x, float):
+        if x <= 0:
+            raise DomainError("invgamma_logpdf requires positive x")
+        return float(
+            p.q * math.log(p.r) - float(gammaln(p.q)) - (p.q + 1.0) * math.log(x) - p.r / x
+        )
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("invgamma_logpdf requires positive x")

@@ -90,6 +90,11 @@ class TestInputParsing:
         with pytest.raises(InputValidationError):
             AnalysisConfig.from_dict({"piror_x": 2.0})
 
+    def test_grid_sizes_accepted_up_to_the_cap(self):
+        # One more point on either key exits 2 (test_strict_types_at_the_boundary).
+        config = AnalysisConfig.from_dict({"grid_points": 2001, "design_grid_points": 2001})
+        assert config.grid_points == config.design_grid_points == 2001
+
     def test_parse_error_reports_line_and_field(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -114,6 +119,8 @@ class TestInputParsing:
             (5, {}, "record"),
             ({}, {"config": {"grid_points": "401"}}, "grid_points"),
             ({}, {"config": {"design_grid_points": 0}}, "design_grid_points"),
+            ({}, {"config": {"grid_points": 2002}}, "grid_points"),
+            ({}, {"config": {"design_grid_points": 2002}}, "design_grid_points"),
             ({}, {"config": None}, "config"),
             ({}, {"config": [1, 2]}, "config"),
             ({}, {"config": "x"}, "config"),
@@ -124,7 +131,8 @@ class TestInputParsing:
             ({}, {"input": {"records": None}}, "records"),
         ],
         ids=["string", "null", "boolean", "string-se", "fractional-n", "non-object",
-             "string-config", "small-design-grid", "null-config", "array-config",
+             "string-config", "small-design-grid", "huge-grid", "huge-design-grid",
+             "null-config", "array-config",
              "string-config-object", "number-records", "object-records", "null-input",
              "number-input", "null-echoed-records"],
     )

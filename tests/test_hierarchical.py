@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,7 @@ from pprep import (
     tau2_prior_from_alpha_prior,
     tau2_to_alpha,
 )
+from pprep.inference import theta_lattice
 from pprep.special import beta_logpdf
 
 from conftest import normal_pdf, rng_for, simpson_semiinf
@@ -262,6 +264,47 @@ class TestRandomHeterogeneityPosteriors:
             oracle = math.log(simpson_semiinf(mix_integrand, 400_001, scale=scale) / norm)
             got = hier_marginal_posterior_theta_r(theta, pair, prior)
             assert got == pytest.approx(oracle, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the absolute tolerance 1e-12 dwarfs a mixture integral of size "
+        "~exp(-119), so QUADPACK stops 9.2e-3 nats off; needs the evidence max-shift",
+    )
+    def test_theta_r_marginal_far_tail_against_mpmath(self):
+        # The last point of a 26-point bridge lattice on studies 40 combined
+        # standard errors apart. The closed-form power-prior marginal gives
+        # the same value as the oracle, -118.96242.
+        pair = StudyPair(Study(0.0, 0.01), Study(0.4, 0.01))
+        gf = tau2_prior_from_alpha_prior(BetaParams(1.0, 1.0), pair.original.variance)
+        theta = float(theta_lattice(pair, num=26)[25])
+        with mpmath.workdps(30):
+            mpf = mpmath.mpf
+            est_o, var_o = mpf(pair.original.estimate), mpf(pair.original.se) ** 2
+            est_r, var_r = mpf(pair.replication.estimate), mpf(pair.replication.se) ** 2
+            a, b, lam = mpf(gf.a), mpf(gf.b), mpf(gf.lam)
+
+            def npdf(x, mean, var):
+                return mpmath.npdf(x, mean, mpmath.sqrt(var))
+
+            def weight(t):
+                prior = lam**a * t ** (a - 1) / (mpmath.beta(a, b) * (1 + lam * t) ** (a + b))
+                return npdf(est_r, est_o, var_o + var_r + 2 * t) * prior
+
+            def conditional(t):
+                w_r, w_o = 1 / var_r, 1 / (2 * t + var_o)
+                var = 1 / (w_r + w_o)
+                return npdf(mpf(theta), (est_r * w_r + est_o * w_o) * var, var)
+
+            # Quarter-decade breakpoints: at whole decades tanh-sinh is off
+            # by 1e-6 nats here.
+            points = [0] + [mpf(10) ** (k / mpf(4)) for k in range(-40, 12)] + [mpmath.inf]
+            num = mpmath.quad(lambda t: conditional(t) * weight(t), points)
+            oracle = float(mpmath.log(num / mpmath.quad(weight, points)))
+        assert marginal_posterior_theta(theta, pair, BetaParams(1.0, 1.0)) == pytest.approx(
+            oracle, rel=1e-10
+        )
+        got = hier_marginal_posterior_theta_r(theta, pair, gf)
+        assert got == pytest.approx(oracle, rel=1e-10)
 
 
 class TestHierEvidence:

@@ -291,6 +291,68 @@ class TestInverseGamma:
             InvGammaParams(1.0, 0.0)
 
 
+# Each density with points inside its support, on its edges and outside it,
+# and with invalid variances or shapes.
+_BETA_XS = [-0.1, 0.0, 1e-9, 0.3, 1.0, 1.2, math.nan]
+_GF_XS = [-1.0, 0.0, 1e-7, 0.4, 30.0, 1e12]
+_INVGAMMA_XS = [-1.0, 0.0, 1e-6, 0.3, 5.0, 1e9]
+_AGREEMENT_CASES = [
+    *[
+        pytest.param(lambda x, var=var: normal_logpdf(x, 0.21, var), xs, id=f"normal-var{var}")
+        for var, xs in [
+            (0.0025, [-3.0, 0.0, 0.21, 0.5, 1e3, math.inf]),
+            (1e-8, [0.2099, 0.21, 7.5]),
+            (0.0, [0.0, 0.21]),
+            (-1.0, [0.3]),
+        ]
+    ],
+    *[
+        pytest.param(lambda x, ab=ab: beta_logpdf(x, *ab), _BETA_XS, id=f"beta{ab}")
+        for ab in [(0.5, 2.0), (1.0, 1.0), (2.5, 0.7), (1.0, 0.01), (0.0, 1.0), (1.0, -2.0)]
+    ],
+    *[
+        pytest.param(lambda x, p=GFParams(*abl): gf_logpdf(x, p), _GF_XS, id=f"gf{abl}")
+        for abl in [(0.5, 2.0, 3.0), (1.0, 1.0, 2e4), (2.5, 0.7, 0.3)]
+    ],
+    *[
+        pytest.param(
+            lambda x, p=InvGammaParams(*qr): invgamma_logpdf(x, p), _INVGAMMA_XS, id=f"invgamma{qr}"
+        )
+        for qr in [(2.0, 1.0), (0.8, 0.01)]
+    ],
+]
+
+
+class TestScalarArrayAgreement:
+    """A float or float64 argument takes the math path, a 0-d or 1-d array
+    the numpy path; both give the same value, -inf or DomainError."""
+
+    @pytest.mark.parametrize("density,xs", _AGREEMENT_CASES)
+    def test_float_and_array_inputs_agree(self, density, xs):
+        for x in xs:
+            outcomes = []
+            for form in (x, np.float64(x), np.array(x), np.array([x])):
+                try:
+                    value = density(form)
+                except DomainError as exc:
+                    outcomes.append(str(exc))
+                    continue
+                if np.ndim(form):
+                    assert value.shape == (1,)
+                    value = float(value[0])
+                else:
+                    assert type(value) is float
+                outcomes.append(value)
+            first = outcomes[0]
+            if isinstance(first, str):
+                assert outcomes == [first] * 4, x
+            else:
+                assert all(isinstance(v, float) for v in outcomes), (x, outcomes)
+                assert all(v == first or abs(v - first) <= 4e-16 * abs(first) for v in outcomes), (
+                    x, outcomes,
+                )
+
+
 class TestDensityMassSweep:
     """All families integrate to one for randomized parameters."""
 
